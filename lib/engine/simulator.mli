@@ -136,7 +136,7 @@ val checked : t -> bool
 val add_invariant : t -> (unit -> unit) -> unit
 (** Register an invariant check, run after every event in checked
     mode, in registration order.  Checks signal violations by raising
-    {!Obs.Invariant.Violation} (see {!Obs.Invariant.require}). *)
+    {!Obs.Invariant.Violation} (see {!Obs.Invariant.fail}). *)
 
 val events_executed : t -> int
 (** Total events executed over the simulator's lifetime. *)

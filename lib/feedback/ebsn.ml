@@ -12,16 +12,18 @@ type pacing = Every_attempt | Min_interval of Simtime.span
 type gate = {
   pacing : pacing;
   last_sent : (int, Simtime.t) Hashtbl.t;
-  trace : Obs.Trace.t;
+  trace : (Obs.Trace.event * Obs.Trace.event) option;
+      (* admit and suppress templates; [None] unless tracing *)
 }
 
 let gate ?(trace = Obs.Trace.disabled) pacing =
+  let trace =
+    if not (Obs.Trace.enabled trace) then None
+    else
+      let event ev = Obs.Trace.event trace ~comp:"ebsn" ~ev [ Arg "conn" ] in
+      Some (event "admit", event "suppress")
+  in
   { pacing; last_sent = Hashtbl.create 4; trace }
-
-let trace_emit t ~ev ~conn ~now =
-  if Obs.Trace.enabled t.trace then
-    Obs.Trace.emit t.trace ~t_ns:(Simtime.to_ns now) ~comp:"ebsn" ~ev
-      [ ("conn", Obs.Jsonl.Int conn) ]
 
 let admit t ~conn ~now =
   let verdict =
@@ -32,7 +34,11 @@ let admit t ~conn ~now =
       | Some last when Simtime.(now < add last interval) -> false
       | Some _ | None -> true)
   in
-  trace_emit t ~ev:(if verdict then "admit" else "suppress") ~conn ~now;
+  (match t.trace with
+  | Some (admit, suppress) ->
+    Obs.Trace.emit1 (if verdict then admit else suppress)
+      ~t_ns:(Simtime.to_ns now) conn
+  | None -> ());
   verdict
 
 let record t ~conn ~now =

@@ -46,6 +46,16 @@ type entry = {
   mutable acked : bool;  (* link ack arrived while still in the link *)
 }
 
+(* Trace templates, rendered once when the ARQ is given a live
+   trace. *)
+type trace_events = {
+  tx : Obs.Trace.event;
+  attempt_failure : Obs.Trace.event;
+  discard : Obs.Trace.event;
+  complete : Obs.Trace.event;
+  crash : Obs.Trace.event;
+}
+
 type t = {
   sim : Simulator.t;
   rng : Rng.t;
@@ -80,7 +90,7 @@ type t = {
   mutable crash_dropped : int;
   timer_counters : Soft_timer.counters;  (* aggregated over all entry timers *)
   obs_comp : string;
-  mutable obs_trace : Obs.Trace.t;
+  mutable trace : trace_events option;  (* [None] unless tracing *)
   mutable attempts_hist : Obs.Registry.histogram;
 }
 
@@ -121,10 +131,7 @@ let inflight_remove t seq =
   in
   go 0
 
-let trace_emit t ~ev fields =
-  Obs.Trace.emit t.obs_trace
-    ~t_ns:(Simtime.to_ns (Simulator.now t.sim))
-    ~comp:t.obs_comp ~ev fields
+let now_ns t = Simtime.to_ns (Simulator.now t.sim)
 
 (* The acknowledgement must travel back: propagation out, ack airtime,
    propagation back — plus the configured margin for queueing behind
@@ -144,12 +151,10 @@ let transmit t entry =
   t.transmissions <- t.transmissions + 1;
   if entry.attempts > 1 then t.retransmissions <- t.retransmissions + 1;
   entry.in_link <- true;
-  if Obs.Trace.enabled t.obs_trace then
-    trace_emit t ~ev:"tx"
-      [
-        ("seq", Obs.Jsonl.Int entry.frame.Frame.seq);
-        ("attempt", Obs.Jsonl.Int entry.attempts);
-      ];
+  (match t.trace with
+  | Some e ->
+    Obs.Trace.emit2 e.tx ~t_ns:(now_ns t) entry.frame.Frame.seq entry.attempts
+  | None -> ());
   Wireless_link.send t.link entry.frame
 
 (* Fired by the link when one of our frames finishes serialising. *)
@@ -173,12 +178,11 @@ let rec frame_serialised t frame =
 
 and on_ack_timeout t entry =
   t.attempt_failures <- t.attempt_failures + 1;
-  if Obs.Trace.enabled t.obs_trace then
-    trace_emit t ~ev:"attempt_failure"
-      [
-        ("seq", Obs.Jsonl.Int entry.frame.Frame.seq);
-        ("attempt", Obs.Jsonl.Int entry.attempts);
-      ];
+  (match t.trace with
+  | Some e ->
+    Obs.Trace.emit2 e.attempt_failure ~t_ns:(now_ns t) entry.frame.Frame.seq
+      entry.attempts
+  | None -> ());
   (match t.on_attempt_failure with
   | Some f -> f entry.frame ~attempt:entry.attempts
   | None -> ());
@@ -186,9 +190,9 @@ and on_ack_timeout t entry =
     (* The initial transmission plus rt_max retransmissions have all
        failed: discard, as CDPD does. *)
     t.discards <- t.discards + 1;
-    if Obs.Trace.enabled t.obs_trace then
-      trace_emit t ~ev:"discard"
-        [ ("seq", Obs.Jsonl.Int entry.frame.Frame.seq) ];
+    (match t.trace with
+    | Some e -> Obs.Trace.emit1 e.discard ~t_ns:(now_ns t) entry.frame.Frame.seq
+    | None -> ());
     (match t.on_discard with Some f -> f entry.frame | None -> ());
     release t entry
   end
@@ -237,12 +241,11 @@ and release t entry =
 and complete_entry t entry =
   t.completions <- t.completions + 1;
   Obs.Registry.observe t.attempts_hist (float_of_int entry.attempts);
-  if Obs.Trace.enabled t.obs_trace then
-    trace_emit t ~ev:"complete"
-      [
-        ("seq", Obs.Jsonl.Int entry.frame.Frame.seq);
-        ("attempts", Obs.Jsonl.Int entry.attempts);
-      ];
+  (match t.trace with
+  | Some e ->
+    Obs.Trace.emit2 e.complete ~t_ns:(now_ns t) entry.frame.Frame.seq
+      entry.attempts
+  | None -> ());
   release t entry
 
 (* Fill free window slots from the scheduler. *)
@@ -298,7 +301,7 @@ let create sim ~rng ~config ~link =
       crash_dropped = 0;
       timer_counters;
       obs_comp = "arq:" ^ Wireless_link.name link;
-      obs_trace = Obs.Trace.disabled;
+      trace = None;
       attempts_hist = Obs.Registry.histogram Obs.Registry.disabled "arq.attempts";
     }
   in
@@ -368,13 +371,9 @@ let crash t =
   let dropped = in_flight + waiting + deferred in
   t.crashes <- t.crashes + 1;
   t.crash_dropped <- t.crash_dropped + dropped;
-  if Obs.Trace.enabled t.obs_trace then
-    trace_emit t ~ev:"crash"
-      [
-        ("in_flight", Obs.Jsonl.Int in_flight);
-        ("waiting", Obs.Jsonl.Int waiting);
-        ("deferred", Obs.Jsonl.Int deferred);
-      ];
+  (match t.trace with
+  | Some e -> Obs.Trace.emit3 e.crash ~t_ns:(now_ns t) in_flight waiting deferred
+  | None -> ());
   dropped
 
 let idle t = t.inflight_len = 0 && Sched.is_empty t.waiting
@@ -383,20 +382,29 @@ let in_flight t = t.inflight_len
 let backlog t = Sched.length t.waiting
 
 let set_obs t ~trace ~metrics =
-  t.obs_trace <- trace;
+  t.trace <-
+    (if not (Obs.Trace.enabled trace) then None
+     else
+       let event ev fields = Obs.Trace.event trace ~comp:t.obs_comp ~ev fields in
+       Some
+         {
+           tx = event "tx" [ Arg "seq"; Arg "attempt" ];
+           attempt_failure = event "attempt_failure" [ Arg "seq"; Arg "attempt" ];
+           discard = event "discard" [ Arg "seq" ];
+           complete = event "complete" [ Arg "seq"; Arg "attempts" ];
+           crash = event "crash" [ Arg "in_flight"; Arg "waiting"; Arg "deferred" ];
+         });
   t.attempts_hist <- Obs.Registry.histogram metrics "arq.attempts"
 
 let check_invariants t =
-  Obs.Invariant.require ~name:"arq.window_slots"
-    (0 <= t.slots_held && t.slots_held <= t.cfg.window)
-    ~detail:(fun () ->
-      Printf.sprintf "%s: slots_held=%d window=%d" t.obs_comp t.slots_held
-        t.cfg.window);
-  Obs.Invariant.require ~name:"arq.inflight_consistent"
-    (t.slots_held = t.inflight_len)
-    ~detail:(fun () ->
-      Printf.sprintf "%s: slots_held=%d but %d entries in flight" t.obs_comp
-        t.slots_held t.inflight_len)
+  if not (0 <= t.slots_held && t.slots_held <= t.cfg.window) then
+    Obs.Invariant.fail ~name:"arq.window_slots"
+      (Printf.sprintf "%s: slots_held=%d window=%d" t.obs_comp t.slots_held
+         t.cfg.window);
+  if t.slots_held <> t.inflight_len then
+    Obs.Invariant.fail ~name:"arq.inflight_consistent"
+      (Printf.sprintf "%s: slots_held=%d but %d entries in flight" t.obs_comp
+         t.slots_held t.inflight_len)
 
 let stats t =
   {

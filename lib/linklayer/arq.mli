@@ -121,7 +121,8 @@ val timer_counters : t -> Sim_engine.Soft_timer.counters
 val set_obs : t -> trace:Obs.Trace.t -> metrics:Obs.Registry.t -> unit
 (** Attach a structured trace and a metrics registry.  The sender then
     emits [arq:<link>] trace events (tx / attempt_failure / discard /
-    complete) and feeds the [arq.attempts] histogram with the number of
+    complete / crash), from templates rendered here when [trace] is
+    live, and feeds the [arq.attempts] histogram with the number of
     transmissions each completed frame needed. *)
 
 val check_invariants : t -> unit

@@ -25,6 +25,16 @@ type monitor_event =
   | Lost of Frame.t  (* destroyed by bit errors *)
   | Dropped of Frame.t  (* queue overflow *)
 
+(* Trace templates, rendered once when the link is given a live
+   trace. *)
+type trace_events = {
+  tx_start : Obs.Trace.event;
+  delivered : Obs.Trace.event;
+  lost : Obs.Trace.event;
+  blackholed : Obs.Trace.event;
+  dropped : Obs.Trace.event;
+}
+
 type t = {
   sim : Simulator.t;
   link_name : string;
@@ -56,7 +66,7 @@ type t = {
   mutable frames_delivered : int;
   mutable accepted : int;  (* frames handed to [send] *)
   mutable in_propagation : int;  (* delivered-but-in-flight frames *)
-  mutable obs_trace : Obs.Trace.t;
+  mutable trace : trace_events option;  (* [None] unless tracing *)
   mutable blackout : bool;  (* disconnection window: frames vanish *)
   mutable frames_blackholed : int;
 }
@@ -66,14 +76,25 @@ let dummy_frame = Frame.{ seq = -1; payload = Link_ack { acked_seq = -1 } }
 let set_receiver t f = t.receiver <- Some f
 let set_monitor t f = t.monitor <- Some f
 let set_on_frame_sent t f = t.on_frame_sent <- Some f
-let set_trace t trace = t.obs_trace <- trace
 
-let trace_emit t ~ev frame =
-  Obs.Trace.emit t.obs_trace
-    ~t_ns:(Simtime.to_ns (Simulator.now t.sim))
-    ~comp:("link:" ^ t.link_name)
-    ~ev
-    [ ("seq", Obs.Jsonl.Int frame.Frame.seq) ]
+let set_trace t tr =
+  t.trace <-
+    (if not (Obs.Trace.enabled tr) then None
+     else
+       let event ev =
+         Obs.Trace.event tr ~comp:("link:" ^ t.link_name) ~ev [ Arg "seq" ]
+       in
+       Some
+         {
+           tx_start = event "tx_start";
+           delivered = event "delivered";
+           lost = event "lost";
+           blackholed = event "blackholed";
+           dropped = event "dropped";
+         })
+
+let trace_frame t ev frame =
+  Obs.Trace.emit1 ev ~t_ns:(Simtime.to_ns (Simulator.now t.sim)) frame.Frame.seq
 
 let notify t event =
   match t.monitor with Some f -> f event | None -> ()
@@ -89,7 +110,7 @@ let deliver t frame =
   | None -> failwith ("Wireless_link " ^ t.link_name ^ ": no receiver")
   | Some f ->
     t.frames_delivered <- t.frames_delivered + 1;
-    if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"delivered" frame;
+    (match t.trace with Some e -> trace_frame t e.delivered frame | None -> ());
     notify t (Delivered frame);
     f frame
 
@@ -99,7 +120,7 @@ let propagated t =
 
 let rec transmit t frame =
   t.transmitting <- true;
-  if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"tx_start" frame;
+  (match t.trace with Some e -> trace_frame t e.tx_start frame | None -> ());
   notify t (Tx_start frame);
   let air = air_bytes_of t frame in
   t.tx_frame <- frame;
@@ -133,12 +154,12 @@ and finish t =
   (match t.on_frame_sent with Some f -> f frame | None -> ());
   if blackholed then begin
     t.frames_blackholed <- t.frames_blackholed + 1;
-    if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"blackholed" frame;
+    (match t.trace with Some e -> trace_frame t e.blackholed frame | None -> ());
     notify t (Lost frame)
   end
   else if lost then begin
     t.frames_lost <- t.frames_lost + 1;
-    if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"lost" frame;
+    (match t.trace with Some e -> trace_frame t e.lost frame | None -> ());
     notify t (Lost frame)
   end
   else begin
@@ -180,7 +201,7 @@ let create sim ~name ~config ~channel_for ~queue_capacity =
       frames_delivered = 0;
       accepted = 0;
       in_propagation = 0;
-      obs_trace = Obs.Trace.disabled;
+      trace = None;
       blackout = false;
       frames_blackholed = 0;
     }
@@ -197,7 +218,7 @@ let send t frame =
   if t.transmitting then begin
     if Queue_drop_tail.enqueue t.queue frame then notify t (Enqueued frame)
     else begin
-      if Obs.Trace.enabled t.obs_trace then trace_emit t ~ev:"dropped" frame;
+      (match t.trace with Some e -> trace_frame t e.dropped frame | None -> ());
       notify t (Dropped frame)
     end
   end
@@ -224,19 +245,20 @@ let config t = t.cfg
 let name t = t.link_name
 
 let check_invariants t =
-  Obs.Invariant.require ~name:"link.frame_conservation"
-    (t.accepted
-    = Queue_drop_tail.drops t.queue
-      + Queue_drop_tail.length t.queue
-      + (if t.transmitting then 1 else 0)
-      + t.in_propagation + t.frames_lost + t.frames_delivered
-      + t.frames_blackholed)
-    ~detail:(fun () ->
-      Printf.sprintf
-        "%s: accepted=%d but drops=%d queued=%d transmitting=%b \
-         propagating=%d lost=%d delivered=%d blackholed=%d"
-        t.link_name t.accepted
-        (Queue_drop_tail.drops t.queue)
-        (Queue_drop_tail.length t.queue)
-        t.transmitting t.in_propagation t.frames_lost t.frames_delivered
-        t.frames_blackholed)
+  if
+    t.accepted
+    <> Queue_drop_tail.drops t.queue
+       + Queue_drop_tail.length t.queue
+       + (if t.transmitting then 1 else 0)
+       + t.in_propagation + t.frames_lost + t.frames_delivered
+       + t.frames_blackholed
+  then
+    Obs.Invariant.fail ~name:"link.frame_conservation"
+      (Printf.sprintf
+         "%s: accepted=%d but drops=%d queued=%d transmitting=%b \
+          propagating=%d lost=%d delivered=%d blackholed=%d"
+         t.link_name t.accepted
+         (Queue_drop_tail.drops t.queue)
+         (Queue_drop_tail.length t.queue)
+         t.transmitting t.in_propagation t.frames_lost t.frames_delivered
+         t.frames_blackholed)

@@ -95,7 +95,8 @@ val queue_capacity : t -> int
 
 val set_trace : t -> Obs.Trace.t -> unit
 (** Attach a structured trace; the link then emits [link:<name>]
-    events (tx_start / delivered / lost / dropped).  Independent of
+    events (tx_start / delivered / lost / blackholed / dropped), from
+    templates rendered here when the trace is live.  Independent of
     {!set_monitor}, which feeds the NS-style trace writer. *)
 
 val check_invariants : t -> unit

@@ -2,9 +2,6 @@ exception Violation of { name : string; detail : string }
 
 let fail ~name detail = raise (Violation { name; detail })
 
-let[@inline] require ~name cond ~detail =
-  if not cond then fail ~name (detail ())
-
 let to_string = function
   | Violation { name; detail } ->
     Some (Printf.sprintf "invariant violated: %s (%s)" name detail)

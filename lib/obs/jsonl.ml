@@ -25,6 +25,11 @@ let float_repr v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
+let add_key buf k =
+  Buffer.add_char buf '"';
+  escape buf k;
+  Buffer.add_string buf "\":"
+
 let add_value buf = function
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float v -> Buffer.add_string buf (float_repr v)
@@ -40,9 +45,7 @@ let line fields =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      escape buf k;
-      Buffer.add_string buf "\":";
+      add_key buf k;
       add_value buf v)
     fields;
   Buffer.add_string buf "}\n";

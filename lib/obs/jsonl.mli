@@ -13,4 +13,11 @@ type value =
 
 val line : (string * value) list -> string
 (** One JSON object terminated by a newline.  Field order is
-    preserved. *)
+    preserved.  This is the metrics renderer, and the reference the
+    pre-rendered {!Trace} templates are tested against. *)
+
+val add_key : Buffer.t -> string -> unit
+(** Append ["key":], escaping the key exactly as {!line} does. *)
+
+val add_value : Buffer.t -> value -> unit
+(** Append one value exactly as {!line} renders it. *)

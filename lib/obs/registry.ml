@@ -11,15 +11,33 @@ type histogram = {
   buckets : int array;  (* indexed by binary exponent + exponent_bias *)
 }
 
+module Names = Hashtbl.Make (String)
+
+(* Each kind is indexed by name for lookup and listed in registration
+   order for rendering. *)
 type t = {
   live : bool;
   mutable counters : counter list;  (* registration order; rendered sorted *)
   mutable gauges : gauge list;
   mutable histograms : histogram list;
+  counter_ix : counter Names.t;
+  gauge_ix : gauge Names.t;
+  histogram_ix : histogram Names.t;
 }
 
-let create () = { live = true; counters = []; gauges = []; histograms = [] }
-let disabled = { live = false; counters = []; gauges = []; histograms = [] }
+let make live n =
+  {
+    live;
+    counters = [];
+    gauges = [];
+    histograms = [];
+    counter_ix = Names.create n;
+    gauge_ix = Names.create n;
+    histogram_ix = Names.create n;
+  }
+
+let create () = make true 64
+let disabled = make false 1
 let enabled t = t.live
 
 (* Buckets cover 2^-32 .. 2^31; everything outside clamps to the end
@@ -36,20 +54,22 @@ let bucket_of v =
 let counter t name =
   if not t.live then { c_live = false; c_name = name; count = 0 }
   else
-    match List.find_opt (fun c -> c.c_name = name) t.counters with
+    match Names.find_opt t.counter_ix name with
     | Some c -> c
     | None ->
       let c = { c_live = true; c_name = name; count = 0 } in
+      Names.add t.counter_ix name c;
       t.counters <- c :: t.counters;
       c
 
 let gauge t name =
   if not t.live then { g_live = false; g_name = name; value = 0.0 }
   else
-    match List.find_opt (fun g -> g.g_name = name) t.gauges with
+    match Names.find_opt t.gauge_ix name with
     | Some g -> g
     | None ->
       let g = { g_live = true; g_name = name; value = 0.0 } in
+      Names.add t.gauge_ix name g;
       t.gauges <- g :: t.gauges;
       g
 
@@ -65,7 +85,7 @@ let histogram t name =
       buckets = [||];
     }
   else
-    match List.find_opt (fun h -> h.h_name = name) t.histograms with
+    match Names.find_opt t.histogram_ix name with
     | Some h -> h
     | None ->
       let h =
@@ -79,6 +99,7 @@ let histogram t name =
           buckets = Array.make bucket_count 0;
         }
       in
+      Names.add t.histogram_ix name h;
       t.histograms <- h :: t.histograms;
       h
 

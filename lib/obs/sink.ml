@@ -16,6 +16,10 @@ let write t s =
   | Chan oc -> output_string oc s
   | Custom f -> f s
 
+let buffer_of = function
+  | Buf b -> Some b
+  | Null | Chan _ | Custom _ -> None
+
 let flush = function
   | Chan oc -> Stdlib.flush oc
   | Null | Buf _ | Custom _ -> ()

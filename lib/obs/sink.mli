@@ -20,6 +20,11 @@ val custom : (string -> unit) -> t
 
 val write : t -> string -> unit
 
+val buffer_of : t -> Buffer.t option
+(** The accumulating buffer of a {!buffer} sink, so a writer can
+    append lines in place instead of handing over a string per line;
+    [None] for other sinks. *)
+
 val flush : t -> unit
 (** Push buffered bytes to the destination: flushes the underlying
     channel of an {!of_channel} sink; a no-op for the others.  Called

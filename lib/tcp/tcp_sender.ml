@@ -6,6 +6,19 @@ open Netsim
    cwnd/ssthresh accounting and the reaction to acks, duplicate acks
    and timeouts — lives behind [policy] (see {!Cc}), installed by
    [create] from [cfg.cc]. *)
+
+(* Trace templates, rendered once when the sender is given a live
+   trace.  [conn] is fixed per sender and [retx] takes one template per
+   value, so every emission is integers only. *)
+type trace_events = {
+  send : Obs.Trace.event;
+  send_retx : Obs.Trace.event;
+  timeout : Obs.Trace.event;
+  complete : Obs.Trace.event;
+  ebsn_rearm : Obs.Trace.event;
+  quench : Obs.Trace.event;
+}
+
 type t = {
   sim : Simulator.t;
   cfg : Tcp_config.t;
@@ -33,21 +46,36 @@ type t = {
   mutable on_complete : (unit -> unit) option;
   mutable on_send : (Packet.t -> unit) option;
   mutable on_timeout_hook : (unit -> unit) option;
-  mutable obs_trace : Obs.Trace.t;
+  mutable trace : trace_events option;  (* [None] unless tracing *)
   mutable rtt_hist : Obs.Registry.histogram;
   mutable cwnd_hist : Obs.Registry.histogram;
 }
 
 let set_obs t ~trace ~metrics =
-  t.obs_trace <- trace;
+  t.trace <-
+    (if not (Obs.Trace.enabled trace) then None
+     else
+       let event ev fields =
+         Obs.Trace.event trace ~comp:"tcp" ~ev
+           (Fixed ("conn", Obs.Jsonl.Int t.conn) :: fields)
+       in
+       let send retx =
+         event "send"
+           [ Arg "seq"; Arg "len"; Fixed ("retx", Obs.Jsonl.Bool retx); Arg "cwnd" ]
+       in
+       Some
+         {
+           send = send false;
+           send_retx = send true;
+           timeout = event "timeout" [ Arg "una"; Arg "rto_ticks" ];
+           complete = event "complete" [ Arg "total" ];
+           ebsn_rearm = event "ebsn_rearm" [ Arg "ticks" ];
+           quench = event "quench" [ Arg "cwnd" ];
+         });
   t.rtt_hist <- Obs.Registry.histogram metrics "tcp.rtt_ticks";
   t.cwnd_hist <- Obs.Registry.histogram metrics "tcp.cwnd_bytes"
 
-let trace_emit t ~ev fields =
-  Obs.Trace.emit t.obs_trace
-    ~t_ns:(Simtime.to_ns (Simulator.now t.sim))
-    ~comp:"tcp" ~ev
-    (("conn", Obs.Jsonl.Int t.conn) :: fields)
+let now_ns t = Simtime.to_ns (Simulator.now t.sim)
 
 let set_on_complete t f = t.on_complete <- Some f
 let set_on_send t f = t.on_send <- Some f
@@ -114,14 +142,13 @@ and emit_segment t ~seq ~len =
     match t.timing with None -> true | Some _ -> false
   then t.timing <- Some (seq, Simulator.now t.sim);
   Obs.Registry.observe t.cwnd_hist t.cc_state.Cc.cwnd;
-  if Obs.Trace.enabled t.obs_trace then
-    trace_emit t ~ev:"send"
-      [
-        ("seq", Obs.Jsonl.Int seq);
-        ("len", Obs.Jsonl.Int len);
-        ("retx", Obs.Jsonl.Bool is_retransmit);
-        ("cwnd", Obs.Jsonl.Int (int_of_float t.cc_state.Cc.cwnd));
-      ];
+  (match t.trace with
+  | Some e ->
+    Obs.Trace.emit3
+      (if is_retransmit then e.send_retx else e.send)
+      ~t_ns:(now_ns t) seq len
+      (int_of_float t.cc_state.Cc.cwnd)
+  | None -> ());
   (match t.on_send with Some f -> f pkt | None -> ());
   t.transmit pkt
 
@@ -144,12 +171,11 @@ and send_window t =
 
 and on_timeout t =
   t.stats.Tcp_stats.timeouts <- t.stats.Tcp_stats.timeouts + 1;
-  if Obs.Trace.enabled t.obs_trace then
-    trace_emit t ~ev:"timeout"
-      [
-        ("una", Obs.Jsonl.Int t.snd_una);
-        ("rto_ticks", Obs.Jsonl.Int (Rto.current_ticks t.rto_state));
-      ];
+  (match t.trace with
+  | Some e ->
+    Obs.Trace.emit2 e.timeout ~t_ns:(now_ns t) t.snd_una
+      (Rto.current_ticks t.rto_state)
+  | None -> ());
   (match t.on_timeout_hook with Some f -> f () | None -> ());
   (* Timeout value doubles on consecutive losses (paper §1); the
      estimate is only refreshed by an ack of a non-retransmitted
@@ -258,7 +284,7 @@ let create sim ~config ~conn ~src ~dst ~total_bytes ~alloc_id ~transmit =
       on_complete = None;
       on_send = None;
       on_timeout_hook = None;
-      obs_trace = Obs.Trace.disabled;
+      trace = None;
       rtt_hist = Obs.Registry.histogram Obs.Registry.disabled "tcp.rtt_ticks";
       cwnd_hist = Obs.Registry.histogram Obs.Registry.disabled "tcp.cwnd_bytes";
     }
@@ -300,8 +326,9 @@ let complete t =
   if not t.is_complete then begin
     t.is_complete <- true;
     cancel_timer t;
-    if Obs.Trace.enabled t.obs_trace then
-      trace_emit t ~ev:"complete" [ ("total", Obs.Jsonl.Int t.total) ];
+    (match t.trace with
+    | Some e -> Obs.Trace.emit1 e.complete ~t_ns:(now_ns t) t.total
+    | None -> ());
     match t.on_complete with Some f -> f () | None -> ()
   end
 
@@ -357,8 +384,9 @@ let handle_ebsn t =
     let ticks =
       Stdlib.max t.cfg.min_rto_ticks (Stdlib.min t.cfg.max_rto_ticks scaled)
     in
-    if Obs.Trace.enabled t.obs_trace then
-      trace_emit t ~ev:"ebsn_rearm" [ ("ticks", Obs.Jsonl.Int ticks) ];
+    (match t.trace with
+    | Some e -> Obs.Trace.emit1 e.ebsn_rearm ~t_ns:(now_ns t) ticks
+    | None -> ());
     arm_timer t ~ticks
   end
 
@@ -367,9 +395,10 @@ let handle_quench t =
   (* BSD tcp_quench: collapse to one segment, leave ssthresh alone.  A
      host-level reaction, deliberately outside the Cc policy. *)
   if not t.is_complete then begin
-    if Obs.Trace.enabled t.obs_trace then
-      trace_emit t ~ev:"quench"
-        [ ("cwnd", Obs.Jsonl.Int (int_of_float t.cc_state.Cc.cwnd)) ];
+    (match t.trace with
+    | Some e ->
+      Obs.Trace.emit1 e.quench ~t_ns:(now_ns t) (int_of_float t.cc_state.Cc.cwnd)
+    | None -> ());
     t.cc_state.Cc.cwnd <- float_of_int t.cfg.mss
   end
 
@@ -386,22 +415,22 @@ let restrict_available t bytes =
   t.available <- Stdlib.min bytes t.total
 
 let check_invariants t =
-  Obs.Invariant.require ~name:"tcp.sequence_order"
-    (0 <= t.snd_una && t.snd_una <= t.snd_nxt && t.snd_nxt <= t.max_sent
-    && t.max_sent <= t.total)
-    ~detail:(fun () ->
-      Printf.sprintf "conn %d: una=%d nxt=%d max_sent=%d total=%d" t.conn
-        t.snd_una t.snd_nxt t.max_sent t.total);
-  Obs.Invariant.require ~name:"tcp.cwnd_floor"
-    (t.cc_state.Cc.cwnd >= float_of_int t.cfg.mss)
-    ~detail:(fun () ->
-      Printf.sprintf "conn %d: cwnd=%g < mss=%d" t.conn t.cc_state.Cc.cwnd
-        t.cfg.mss);
-  Obs.Invariant.require ~name:"tcp.timer_after_complete"
-    (not (t.is_complete && timer_pending t))
-    ~detail:(fun () ->
-      Printf.sprintf "conn %d: retransmission timer armed after completion"
-        t.conn)
+  if
+    not
+      (0 <= t.snd_una && t.snd_una <= t.snd_nxt && t.snd_nxt <= t.max_sent
+      && t.max_sent <= t.total)
+  then
+    Obs.Invariant.fail ~name:"tcp.sequence_order"
+      (Printf.sprintf "conn %d: una=%d nxt=%d max_sent=%d total=%d" t.conn
+         t.snd_una t.snd_nxt t.max_sent t.total);
+  if not (t.cc_state.Cc.cwnd >= float_of_int t.cfg.mss) then
+    Obs.Invariant.fail ~name:"tcp.cwnd_floor"
+      (Printf.sprintf "conn %d: cwnd=%g < mss=%d" t.conn t.cc_state.Cc.cwnd
+         t.cfg.mss);
+  if t.is_complete && timer_pending t then
+    Obs.Invariant.fail ~name:"tcp.timer_after_complete"
+      (Printf.sprintf "conn %d: retransmission timer armed after completion"
+         t.conn)
 
 module For_testing = struct
   let corrupt_sequence_state t = t.snd_una <- t.snd_nxt + 1

@@ -135,10 +135,10 @@ val cc_diag : t -> (string * float) list
 val set_obs : t -> trace:Obs.Trace.t -> metrics:Obs.Registry.t -> unit
 (** Attach a structured trace and a metrics registry.  The sender then
     emits [tcp] trace events (send / timeout / ebsn_rearm / quench /
-    complete) and feeds the [tcp.rtt_ticks] and [tcp.cwnd_bytes]
-    histograms.  With the defaults ({!Obs.Trace.disabled},
-    {!Obs.Registry.disabled}) every instrumentation site is a single
-    dead branch. *)
+    complete), from templates rendered here when [trace] is live, and
+    feeds the [tcp.rtt_ticks] and [tcp.cwnd_bytes] histograms.  With
+    the defaults ({!Obs.Trace.disabled}, {!Obs.Registry.disabled})
+    every instrumentation site is a single dead branch. *)
 
 val check_invariants : t -> unit
 (** Verify internal consistency: sequence-number ordering
