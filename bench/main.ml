@@ -435,8 +435,8 @@ let pre_pr_lan_sec = 0.0982
 let pre_pr_fig7_md5 = "5964875618a07db07de4f4b01357197f"
 let pre_pr_fig10_md5 = "6a785698082a6381fa59aac6710439b5"
 
-(* Bucket-tier and cancel-fusion counters of the latest WAN batch,
-   summed over its 100 replications.  Deterministic, so re-running the
+(* Queue and cancel-fusion counters of the latest WAN batch, summed
+   over its 100 replications.  Deterministic, so re-running the
    batch for timing leaves them unchanged. *)
 let wan_queue_stats = ref None
 let wan_timer_stats = ref None
@@ -444,9 +444,8 @@ let wan_timer_stats = ref None
 let wan_batch () =
   let events = ref 0 in
   let qs = ref Core.Event_queue.{
-      adds = 0; pops = 0; cancels = 0; max_size = 0; dead_drops = 0;
-      compactions = 0; recycled = 0; near_adds = 0; near_pops = 0;
-      rebases = 0;
+      adds = 0; pops = 0; cancels = 0; max_size = 0; recycled = 0;
+      near_pops = 0;
     }
   in
   let ts = Core.Soft_timer.create_counters () in
@@ -460,12 +459,8 @@ let wan_batch () =
         pops = !qs.pops + q.pops;
         cancels = !qs.cancels + q.cancels;
         max_size = Stdlib.max !qs.max_size q.max_size;
-        dead_drops = !qs.dead_drops + q.dead_drops;
-        compactions = !qs.compactions + q.compactions;
         recycled = !qs.recycled + q.recycled;
-        near_adds = !qs.near_adds + q.near_adds;
-        near_pops = !qs.near_pops + q.near_pops;
-        rebases = !qs.rebases + q.rebases;
+        near_pops = 0;
       };
     let t = o.Core.Wiring.timer_stats in
     Core.Soft_timer.(
@@ -546,63 +541,19 @@ let queue_mix ~cancel_heavy ~live ~iters =
   let dt = Unix.gettimeofday () -. t0 in
   float_of_int !ops /. dt
 
-(* The near-horizon pattern the calendar-bucket tier exists for: a
-   monotone clock where every new event lands a small delta past the
-   current time (ARQ ack waits / retry backoffs, serialisation
-   finishes).  Adds stay inside the bucket window, so this mix runs
-   almost entirely on the O(1) tier; the generic mixes above spread
-   times uniformly and mostly exercise the heap. *)
-let queue_mix_near ~live ~iters =
-  let q = Core.Event_queue.create () in
-  let state = ref 0x123456789 in
-  let small_delta () =
-    state := ((!state * 0x5DEECE66D) + 0xB) land 0xFFFFFFFFFFFF;
-    (* 1 ns .. ~33 ms: well inside the ~537 ms bucket window. *)
-    1 + (!state land 0x1FFFFFF)
-  in
-  let now = ref 0 in
-  for i = 0 to live - 1 do
-    ignore (Core.Event_queue.add q ~time:(Core.Simtime.of_ns (small_delta ())) i)
-  done;
-  let ops = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to iters - 1 do
-    (match Core.Event_queue.pop q with
-    | Some (t, _) -> now := Core.Simtime.to_ns t
-    | None -> ());
-    ignore
-      (Core.Event_queue.add q ~time:(Core.Simtime.of_ns (!now + small_delta ())) i);
-    ops := !ops + 2
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let s = Core.Event_queue.stats q in
-  let near_fraction =
-    float_of_int s.Core.Event_queue.near_pops
-    /. float_of_int (Stdlib.max 1 s.Core.Event_queue.pops)
-  in
-  (float_of_int !ops /. dt, near_fraction)
-
 let engine_bench () =
   let trials = Stdlib.max 1 (Stdlib.min !replications 3) in
   (* 1. Event-queue ops/sec at several live sizes. *)
   let live_sizes = [ 256; 4096; 65536 ] in
-  let near_fracs = ref [] in
   let queue_rows =
     List.concat_map
       (fun live ->
         let iters = 400_000 in
         let ap = queue_mix ~cancel_heavy:false ~live ~iters in
         let acp = queue_mix ~cancel_heavy:true ~live ~iters in
-        let nh, frac = queue_mix_near ~live ~iters in
-        near_fracs := (live, frac) :: !near_fracs;
-        [
-          ("add/pop", live, ap);
-          ("add/cancel/pop", live, acp);
-          ("near-horizon", live, nh);
-        ])
+        [ ("add/pop", live, ap); ("add/cancel/pop", live, acp) ])
       live_sizes
   in
-  let near_fracs = List.rev !near_fracs in
   (* 2. End-to-end simulator events/sec, WAN and LAN, with the minor
      heap swept across candidate sizes — the PR-3 tune_gc experiment
      re-run per workload on every bench run.  The winner of this
@@ -731,15 +682,6 @@ let engine_bench () =
         (if i = n - 1 then "" else ","))
     queue_rows;
   Printf.bprintf buf "  ],\n";
-  Printf.bprintf buf "  \"near_horizon_pop_fraction\": [\n";
-  let n_nf = List.length near_fracs in
-  List.iteri
-    (fun i (live, frac) ->
-      Printf.bprintf buf "    {\"live\": %d, \"bucket_pop_fraction\": %.4f}%s\n"
-        live frac
-        (if i = n_nf - 1 then "" else ","))
-    near_fracs;
-  Printf.bprintf buf "  ],\n";
   let scenario_json name events sec default_sec tuned_sec pre_sec speedup =
     Printf.bprintf buf
       "  \"%s\": {\n\
@@ -777,20 +719,16 @@ let engine_bench () =
   Printf.bprintf buf "  ],\n";
   Printf.bprintf buf "  \"gc_winner\": %S,\n" gc_winner;
   (* Lifetime engine counters summed over the 100-seed WAN batch:
-     where adds landed (bucket tier vs heap) and how much timer churn
-     the soft-timer layer absorbed without touching the queue. *)
+     queue traffic, and how much timer churn the soft-timer layer
+     absorbed without touching the queue. *)
   (match !wan_queue_stats with
   | Some s ->
     Printf.bprintf buf
       "  \"wan_queue\": {\"adds\": %d, \"pops\": %d, \"cancels\": %d, \
-       \"dead_drops\": %d, \"compactions\": %d, \"recycled\": %d, \
-       \"near_adds\": %d, \"near_pops\": %d, \"rebases\": %d, \
-       \"max_size\": %d},\n"
+       \"recycled\": %d, \"max_size\": %d},\n"
       s.Core.Event_queue.adds s.Core.Event_queue.pops
-      s.Core.Event_queue.cancels s.Core.Event_queue.dead_drops
-      s.Core.Event_queue.compactions s.Core.Event_queue.recycled
-      s.Core.Event_queue.near_adds s.Core.Event_queue.near_pops
-      s.Core.Event_queue.rebases s.Core.Event_queue.max_size
+      s.Core.Event_queue.cancels s.Core.Event_queue.recycled
+      s.Core.Event_queue.max_size
   | None -> ());
   (match !wan_timer_stats with
   | Some t ->

@@ -366,15 +366,9 @@ let print_engine_stats outcome =
   Printf.printf "engine:     %d events executed\n"
     outcome.Wiring.events_executed;
   Printf.printf
-    "queue:      %d adds (%d recycled), %d pops, %d cancels; peak heap %d\n"
+    "queue:      %d adds (%d recycled), %d pops, %d cancels; peak %d pending\n"
     qs.Event_queue.adds qs.Event_queue.recycled qs.Event_queue.pops
     qs.Event_queue.cancels qs.Event_queue.max_size;
-  Printf.printf
-    "cleanup:    %d dead nodes dropped lazily, %d compaction sweeps\n"
-    qs.Event_queue.dead_drops qs.Event_queue.compactions;
-  Printf.printf
-    "calendar:   %d near-horizon adds, %d bucket pops, %d window rebases\n"
-    qs.Event_queue.near_adds qs.Event_queue.near_pops qs.Event_queue.rebases;
   let ts = outcome.Wiring.timer_stats in
   Printf.printf
     "timers:     %d arms (%d fused), %d lazy cancels, %d fires (%d stale), %d \
@@ -449,9 +443,9 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "engine-stats" ]
-          ~doc:"Also print simulator-engine counters: events executed and \
-                the pending-event set's add/pop/cancel, recycling and \
-                lazy-cleanup statistics.")
+          ~doc:"Also print simulator-engine counters: events executed, \
+                the pending-event set's adds, pops, cancels, recycled \
+                slots and peak size, and the soft-timer counters.")
   in
   let action scenario nstrace_path check trace_path metrics_path engine_stats =
     let scenario =

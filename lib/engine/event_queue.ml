@@ -1,78 +1,28 @@
-(* Two-tier pending-event set: a near-horizon bucket tier in front of
-   a struct-of-arrays 4-ary min-heap, with lazy deletion, amortised
-   compaction and a recycled payload pool.
-
-   The simulator's hot loop is add/pop/cancel: timers are armed and
-   cancelled on every ACK and every frame, so the design optimises the
-   sift comparisons and the cancel-heavy steady state.
-
-   Near tier.  Most traffic (frame serialisation, propagation, ARQ ack
-   timeouts and retry backoffs) lands within a few hundred
-   milliseconds of the clock; only coarse TCP tick timers live further
-   out.  A calendar-style sliding window of [n_buckets] buckets of
-   [2^w_bits] ns each absorbs those near-horizon events: an add into
-   the window is an O(1) append to an unsorted bucket, and a pop scans
-   one bucket instead of sifting the heap.  The tier is strictly
-   opportunistic — the heap accepts any time — so adds beyond the
-   window, before the frontier (possible only when the queue is driven
-   without a monotonic clock), or into a bucket already at [bucket_cap]
-   sift into the heap instead, which bounds every bucket scan at O(1).
-   When the near tier is empty and an add lands past the window, the
-   window re-bases to the new time, so the tier keeps tracking the
-   clock for the whole run.
-
-   Pop order is the unique total order (time, then insertion number),
-   exactly as for the pure heap: bucket [b] holds only times in
-   [win_base + b·W, win_base + (b+1)·W) (clamped events hold even
-   smaller times), so the tier's minimum lives in its first non-empty
-   bucket, found by a bitmap scan; that candidate is compared — by
-   exact (time, order) key — against the heap root, and the smaller
-   one is popped.  No migration between tiers is ever needed.  The
-   qcheck model tests in test/ assert the order contract across both
-   tiers.
+(* Pending-event set: an indexed struct-of-arrays 4-ary min-heap with
+   eager cancellation and a recycled payload pool.
 
    Heap layout.  Three parallel int arrays — [times] (ns), [orders]
-   (insertion number, the tie-break) and [ids] (packed pool-slot
-   handle) — so the sift loops compare and move unboxed integers only:
-   no pointer chasing into entry records, no write barrier
-   ([caml_modify]) on the moves.  A 4-ary shape halves the tree depth
-   of the binary version.  Bucket entries use the same triple,
-   stride-3 packed per bucket.  Payloads live in a side pool
-   ([values]) indexed by slot, touched only on add and on a live pop,
-   never during sifts or bucket scans.
+   (insertion number, the tie-break) and [slots] (payload-pool slot) —
+   so the sift loops compare and move unboxed integers only: no
+   pointer chasing into entry records, no write barrier ([caml_modify])
+   on the moves.  Pop order is the unique total order (time, then
+   insertion number), so any correct heap over the same events pops
+   them in the same sequence.
+
+   Index.  [pos] maps a pending slot to its node, and every sift move
+   keeps it current, so [cancel] finds its node in O(1) and sifts it
+   out in O(log n).  The heap holds exactly the pending events.
 
    Handles and the free pool.  [add] hands out an int handle packing
    (generation lsl slot_bits) lor slot.  Freeing a slot (on cancel or
-   on a live pop) bumps its generation, so stale handles — and stale
-   nodes pointing at a recycled slot — are recognised in O(1) by a
-   generation mismatch.  Freed slots go on a LIFO free list and are
-   reused by the next add, so steady-state scheduling allocates
-   nothing on the minor heap: no entry records, no handle boxes.
-
-   Deletion.  [cancel] is O(1): it frees the slot (killing the node by
-   generation mismatch) and leaves the node in place, in whichever
-   tier it sits.  Dead heap nodes are dropped when they surface at the
-   root; dead bucket nodes are swept out by the pop-side bucket scan;
-   and both tiers are swept wholesale by [compact] whenever live
-   entries fall below half the total occupancy — so occupancy is
-   bounded by O(live entries), not O(total adds), even when almost
-   every timer is cancelled (an RTO re-armed per ACK). *)
+   on a pop) bumps its generation, so a stale handle is recognised in
+   O(1) by a generation mismatch.  Freed slots go on a LIFO free list,
+   threaded through [pos], and are reused by the next add, so
+   steady-state scheduling allocates nothing on the minor heap. *)
 
 let slot_bits = 25
 let slot_mask = (1 lsl slot_bits) - 1
 let max_slots = 1 lsl slot_bits
-
-(* Near-horizon window: 512 buckets of ~1.05 ms cover ~537 ms. *)
-let w_bits = 20
-let n_buckets = 512
-let window_span = n_buckets lsl w_bits
-let bitmap_words = n_buckets / 32
-
-(* A bucket past this many triples stops accepting adds (they go to
-   the heap instead), so the pop-side scan of the first non-empty
-   bucket is O(1) even when a synthetic workload piles thousands of
-   events into one bucket's time range. *)
-let bucket_cap = 16
 
 type handle = int
 
@@ -86,127 +36,71 @@ type stats = {
   pops : int;
   cancels : int;
   max_size : int;
-  dead_drops : int;
-  compactions : int;
   recycled : int;
-  near_adds : int;
   near_pops : int;
-  rebases : int;
 }
 
 type 'a t = {
-  (* Heap: parallel arrays, nodes 0..size-1, dead nodes included. *)
+  (* Heap: parallel arrays, nodes 0..size-1. *)
   mutable times : int array;
   mutable orders : int array;
-  mutable ids : int array;
+  mutable slots : int array;
   mutable size : int;
-  mutable next_order : int;
-  mutable live_count : int;
-  (* Near tier: per-bucket stride-3 (time, order, id) triples. *)
-  buckets : int array array;
-  blen : int array;  (* triples per bucket *)
-  bitmap : int array;  (* bit b set iff blen.(b) > 0 *)
-  mutable win_base : int;  (* ns, multiple of 2^w_bits *)
-  mutable cur : int;  (* every bucket below this one is empty *)
-  mutable near_count : int;  (* nodes in buckets, dead included *)
-  (* Cached location of the next live event (see [settle]). *)
-  mutable settled : bool;
-  mutable next_time : int;  (* min_int when the queue is empty *)
-  mutable next_order_key : int;
-  mutable next_src : int;  (* 0 = heap root, 1 = near tier *)
-  mutable next_bucket : int;
-  mutable next_pos : int;  (* triple index within the bucket *)
   (* Payload pool, indexed by slot. *)
   mutable values : 'a array;
   mutable gens : int array;
-  mutable free_next : int array;
+  mutable pos : int array;  (* node of a pending slot, else free-list link *)
   mutable pool_len : int;  (* slots ever handed out *)
   mutable free_head : int;  (* LIFO free list, -1 when empty *)
   mutable filler : 'a array;  (* length 1 after the first add *)
-  (* Lifetime counters. *)
-  mutable adds : int;
+  (* Lifetime counters.  Every add is popped, cancelled or pending, and
+     takes a recycled slot or a fresh one, so [stats] derives the
+     cancel and recycle counts. *)
+  mutable adds : int;  (* also the next insertion number *)
   mutable pops : int;
-  mutable cancels : int;
   mutable max_size : int;
-  mutable dead_drops : int;
-  mutable compactions : int;
-  mutable recycled : int;
-  mutable near_adds : int;
-  mutable near_pops : int;
-  mutable rebases : int;
 }
 
 let create () =
   {
     times = [||];
     orders = [||];
-    ids = [||];
+    slots = [||];
     size = 0;
-    next_order = 0;
-    live_count = 0;
-    buckets = Array.make n_buckets [||];
-    blen = Array.make n_buckets 0;
-    bitmap = Array.make bitmap_words 0;
-    win_base = 0;
-    cur = 0;
-    near_count = 0;
-    settled = false;
-    next_time = min_int;
-    next_order_key = 0;
-    next_src = 0;
-    next_bucket = 0;
-    next_pos = 0;
     values = [||];
     gens = [||];
-    free_next = [||];
+    pos = [||];
     pool_len = 0;
     free_head = -1;
     filler = [||];
     adds = 0;
     pops = 0;
-    cancels = 0;
     max_size = 0;
-    dead_drops = 0;
-    compactions = 0;
-    recycled = 0;
-    near_adds = 0;
-    near_pops = 0;
-    rebases = 0;
   }
 
 let stats t =
   {
     adds = t.adds;
     pops = t.pops;
-    cancels = t.cancels;
+    cancels = t.adds - t.pops - t.size;
     max_size = t.max_size;
-    dead_drops = t.dead_drops;
-    compactions = t.compactions;
-    recycled = t.recycled;
-    near_adds = t.near_adds;
-    near_pops = t.near_pops;
-    rebases = t.rebases;
+    recycled = t.adds - t.pool_len;
+    near_pops = 0;
   }
 
-let length t = t.live_count
-let is_empty t = t.live_count = 0
-let occupancy t = t.size + t.near_count
+let length t = t.size
+let is_empty t = t.size = 0
 
-(* A node (or a handle) is live iff its packed generation still
-   matches the pool's: freeing a slot bumps the generation, which
-   kills every outstanding reference to the old tenancy at once. *)
-let node_live t id = t.gens.(id land slot_mask) = id lsr slot_bits
-
-(* ------------------------------------------------------------------ *)
-(* Payload pool                                                        *)
-(* ------------------------------------------------------------------ *)
+let grow a len capacity fill =
+  let a' = Array.make capacity fill in
+  Array.blit a 0 a' 0 len;
+  a'
 
 let alloc_slot t value =
   let s = t.free_head in
   if s >= 0 then begin
-    t.free_head <- t.free_next.(s);
+    t.free_head <- t.pos.(s);
     t.values.(s) <- value;
-    t.recycled <- t.recycled + 1;
     s
   end
   else begin
@@ -215,15 +109,13 @@ let alloc_slot t value =
       if capacity >= max_slots then
         failwith "Event_queue: more than 2^25 concurrently pending events";
       let capacity' = Stdlib.min max_slots (Stdlib.max 16 (2 * capacity)) in
-      let values' = Array.make capacity' value in
-      Array.blit t.values 0 values' 0 t.pool_len;
-      t.values <- values';
-      let gens' = Array.make capacity' 0 in
-      Array.blit t.gens 0 gens' 0 t.pool_len;
-      t.gens <- gens';
-      let free_next' = Array.make capacity' 0 in
-      Array.blit t.free_next 0 free_next' 0 t.pool_len;
-      t.free_next <- free_next'
+      t.values <- grow t.values t.pool_len capacity' value;
+      t.gens <- grow t.gens t.pool_len capacity' 0;
+      t.pos <- grow t.pos t.pool_len capacity' 0;
+      (* The heap never holds more nodes than the pool has slots. *)
+      t.times <- grow t.times t.size capacity' 0;
+      t.orders <- grow t.orders t.size capacity' 0;
+      t.slots <- grow t.slots t.size capacity' 0
     end;
     let s = t.pool_len in
     t.pool_len <- s + 1;
@@ -233,414 +125,119 @@ let alloc_slot t value =
 
 let free_slot t s =
   t.gens.(s) <- t.gens.(s) + 1;
-  (* Drop the payload reference so a cancelled closure is collectable
-     before the slot is next reused. *)
+  (* Drop the payload reference so the closure is collectable before
+     the slot is next reused. *)
   t.values.(s) <- t.filler.(0);
-  t.free_next.(s) <- t.free_head;
+  t.pos.(s) <- t.free_head;
   t.free_head <- s
 
-(* ------------------------------------------------------------------ *)
-(* Heap sifts                                                          *)
-(* ------------------------------------------------------------------ *)
+(* Both sifts use hole insertion: displaced nodes slide into the hole
+   and the moving key is written once, at its final node.  Node indices
+   stay within [0, t.size) and slots within [0, t.pool_len), so the
+   unsafe accesses are in bounds; the model tests in test/ drive every
+   path. *)
 
-(* Both sifts use hole insertion: the moving key is held in registers
-   while displaced nodes slide into the hole (three int writes each),
-   and the held key is written once at its final position.  Indices
-   stay within [0, t.size), so the unsafe accesses are in bounds; the
-   model tests in test/ drive every path. *)
+(* (time, order) precedence.  The int annotations make these machine
+   compares, as [Int.min] does in [sift_down]; unannotated [<] or
+   [Stdlib.min] would call the polymorphic compare. *)
+let[@inline] before (ta : int) (oa : int) tb ob =
+  ta < tb || (ta = tb && oa < ob)
 
-let sift_up t i time order id =
-  let times = t.times and orders = t.orders and ids = t.ids in
-  let i = ref i in
-  let moving = ref true in
-  while !moving && !i > 0 do
-    let p = (!i - 1) lsr 2 in
-    let pt = Array.unsafe_get times p in
-    if
-      pt > time || (pt = time && Array.unsafe_get orders p > order)
+let[@inline] place t i time order s =
+  Array.unsafe_set t.times i time;
+  Array.unsafe_set t.orders i order;
+  Array.unsafe_set t.slots i s;
+  Array.unsafe_set t.pos s i
+
+let[@inline] move t ~src ~dst =
+  place t dst (Array.unsafe_get t.times src) (Array.unsafe_get t.orders src)
+    (Array.unsafe_get t.slots src)
+
+let rec sift_up t i time order s =
+  let p = (i - 1) lsr 2 in
+  if
+    i > 0
+    && before time order (Array.unsafe_get t.times p)
+         (Array.unsafe_get t.orders p)
+  then begin
+    move t ~src:p ~dst:i;
+    sift_up t p time order s
+  end
+  else place t i time order s
+
+let rec sift_down t i time order s =
+  let c = (i lsl 2) + 1 in
+  if c >= t.size then place t i time order s
+  else begin
+    (* Smallest of the up-to-four children. *)
+    let times = t.times and orders = t.orders in
+    let m = ref c in
+    for k = c + 1 to Int.min (c + 3) (t.size - 1) do
+      if
+        before (Array.unsafe_get times k) (Array.unsafe_get orders k)
+          (Array.unsafe_get times !m) (Array.unsafe_get orders !m)
+      then m := k
+    done;
+    let m = !m in
+    if before (Array.unsafe_get times m) (Array.unsafe_get orders m) time order
     then begin
-      Array.unsafe_set times !i pt;
-      Array.unsafe_set orders !i (Array.unsafe_get orders p);
-      Array.unsafe_set ids !i (Array.unsafe_get ids p);
-      i := p
+      move t ~src:m ~dst:i;
+      sift_down t m time order s
     end
-    else moving := false
-  done;
-  Array.unsafe_set times !i time;
-  Array.unsafe_set orders !i order;
-  Array.unsafe_set ids !i id
-
-let sift_down t i time order id =
-  let times = t.times and orders = t.orders and ids = t.ids in
-  let size = t.size in
-  let i = ref i in
-  let moving = ref true in
-  while !moving do
-    let c = (!i lsl 2) + 1 in
-    if c >= size then moving := false
-    else begin
-      (* Smallest of the up-to-four children. *)
-      let last = Stdlib.min (c + 3) (size - 1) in
-      let m = ref c in
-      let mt = ref (Array.unsafe_get times c) in
-      let mo = ref (Array.unsafe_get orders c) in
-      for k = c + 1 to last do
-        let kt = Array.unsafe_get times k in
-        if kt < !mt || (kt = !mt && Array.unsafe_get orders k < !mo) then begin
-          m := k;
-          mt := kt;
-          mo := Array.unsafe_get orders k
-        end
-      done;
-      if !mt < time || (!mt = time && !mo < order) then begin
-        Array.unsafe_set times !i !mt;
-        Array.unsafe_set orders !i !mo;
-        Array.unsafe_set ids !i (Array.unsafe_get ids !m);
-        i := !m
-      end
-      else moving := false
-    end
-  done;
-  Array.unsafe_set times !i time;
-  Array.unsafe_set orders !i order;
-  Array.unsafe_set ids !i id
-
-(* ------------------------------------------------------------------ *)
-(* Maintenance                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let grow_heap t =
-  let capacity = Array.length t.times in
-  if t.size = capacity then begin
-    let capacity' = Stdlib.max 16 (2 * capacity) in
-    let grow a =
-      let a' = Array.make capacity' 0 in
-      Array.blit a 0 a' 0 t.size;
-      a'
-    in
-    t.times <- grow t.times;
-    t.orders <- grow t.orders;
-    t.ids <- grow t.ids
+    else place t i time order s
   end
 
-(* Remove the root node (live or dead), restoring the heap shape. *)
-let remove_root t =
+(* Remove node [i] by moving the last node into its place.  That node
+   may belong above [i] (it came from another subtree) or below it, so
+   it sifts up when it beats [i]'s parent and down otherwise. *)
+let remove t i =
   let n = t.size - 1 in
   t.size <- n;
-  if n > 0 then sift_down t 0 t.times.(n) t.orders.(n) t.ids.(n)
-
-let bitmap_set t b =
-  let w = b lsr 5 in
-  t.bitmap.(w) <- t.bitmap.(w) lor (1 lsl (b land 31))
-
-let bitmap_clear t b =
-  let w = b lsr 5 in
-  t.bitmap.(w) <- t.bitmap.(w) land lnot (1 lsl (b land 31))
-
-(* Drop every dead node — heap and near tier — and re-heapify the heap
-   in place.  Any correct heap over the same live set pops in the same
-   (total) order, and buckets are unsorted, so compaction is invisible
-   to callers. *)
-let compact t =
-  let times = t.times and orders = t.orders and ids = t.ids in
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let id = Array.unsafe_get ids i in
-    if node_live t id then begin
-      Array.unsafe_set times !j (Array.unsafe_get times i);
-      Array.unsafe_set orders !j (Array.unsafe_get orders i);
-      Array.unsafe_set ids !j id;
-      incr j
-    end
-  done;
-  t.dead_drops <- t.dead_drops + (t.size - !j);
-  t.size <- !j;
-  for k = (!j - 2) asr 2 downto 0 do
-    sift_down t k times.(k) orders.(k) ids.(k)
-  done;
-  if t.near_count > 0 then
-    for b = 0 to n_buckets - 1 do
-      let len = t.blen.(b) in
-      if len > 0 then begin
-        let arr = t.buckets.(b) in
-        let j = ref 0 in
-        for i = 0 to len - 1 do
-          let id = Array.unsafe_get arr ((i * 3) + 2) in
-          if node_live t id then begin
-            if !j < i then begin
-              Array.unsafe_set arr (!j * 3) (Array.unsafe_get arr (i * 3));
-              Array.unsafe_set arr ((!j * 3) + 1)
-                (Array.unsafe_get arr ((i * 3) + 1));
-              Array.unsafe_set arr ((!j * 3) + 2) id
-            end;
-            incr j
-          end
-        done;
-        let dropped = len - !j in
-        if dropped > 0 then begin
-          t.blen.(b) <- !j;
-          t.near_count <- t.near_count - dropped;
-          t.dead_drops <- t.dead_drops + dropped;
-          if !j = 0 then bitmap_clear t b
-        end
-      end
-    done;
-  t.settled <- false;
-  t.compactions <- t.compactions + 1
-
-let compact_min = 64
-
-let maybe_compact t =
-  if
-    t.size + t.near_count >= compact_min
-    && 2 * t.live_count < t.size + t.near_count
-  then compact t
-
-(* ------------------------------------------------------------------ *)
-(* Operations                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let heap_insert t time order id =
-  grow_heap t;
-  let i = t.size in
-  t.size <- i + 1;
-  sift_up t i time order id
-
-let bucket_push t b time order id =
-  let len = t.blen.(b) in
-  let arr = t.buckets.(b) in
-  let arr =
-    if Array.length arr < (len + 1) * 3 then begin
-      let arr' = Array.make (Stdlib.max 12 (2 * Array.length arr)) 0 in
-      Array.blit arr 0 arr' 0 (len * 3);
-      t.buckets.(b) <- arr';
-      arr'
-    end
-    else arr
-  in
-  arr.(len * 3) <- time;
-  arr.((len * 3) + 1) <- order;
-  arr.((len * 3) + 2) <- id;
-  t.blen.(b) <- len + 1;
-  if len = 0 then bitmap_set t b;
-  t.near_count <- t.near_count + 1;
-  t.near_adds <- t.near_adds + 1
+  if i < n then begin
+    let time = t.times.(n) and order = t.orders.(n) and s = t.slots.(n) in
+    let p = (i - 1) lsr 2 in
+    if i > 0 && before time order t.times.(p) t.orders.(p) then
+      sift_up t i time order s
+    else sift_down t i time order s
+  end
 
 let add t ~time value =
   let s = alloc_slot t value in
   if Array.length t.filler = 0 then t.filler <- [| value |];
-  let id = (t.gens.(s) lsl slot_bits) lor s in
-  let tn = Simtime.to_ns time in
-  let order = t.next_order in
-  t.next_order <- order + 1;
-  t.live_count <- t.live_count + 1;
-  t.adds <- t.adds + 1;
-  t.settled <- false;
-  (* A far-future add onto an empty near tier slides the window
-     forward, so the tier keeps absorbing near-horizon traffic as the
-     clock advances past the old window. *)
-  if t.near_count = 0 && tn >= t.win_base + window_span then begin
-    t.win_base <- tn asr w_bits lsl w_bits;
-    t.cur <- 0;
-    t.rebases <- t.rebases + 1
-  end;
-  (* The tier is opportunistic: the heap accepts any time, so an add
-     that falls before the frontier (only possible without a monotonic
-     clock driving the queue), beyond the window, or into a bucket at
-     its cap simply sifts into the heap instead. *)
-  let frontier = t.win_base + (t.cur lsl w_bits) in
-  if tn >= frontier && tn < t.win_base + window_span then begin
-    let b = (tn - t.win_base) asr w_bits in
-    if t.blen.(b) < bucket_cap then bucket_push t b tn order id
-    else heap_insert t tn order id
-  end
-  else heap_insert t tn order id;
-  let occ = t.size + t.near_count in
-  if occ > t.max_size then t.max_size <- occ;
-  (* An add onto a queue that is mostly dead nodes must not push
-     occupancy past the documented bound either. *)
-  maybe_compact t;
-  id
-
-let cancel t h =
-  let s = h land slot_mask in
-  if s < t.pool_len && t.gens.(s) = h lsr slot_bits then begin
-    free_slot t s;
-    t.live_count <- t.live_count - 1;
-    t.cancels <- t.cancels + 1;
-    t.settled <- false;
-    maybe_compact t
-  end
+  let order = t.adds in
+  t.adds <- order + 1;
+  let i = t.size in
+  t.size <- i + 1;
+  if t.size > t.max_size then t.max_size <- t.size;
+  sift_up t i (Simtime.to_ns time) order s;
+  (t.gens.(s) lsl slot_bits) lor s
 
 let is_live t h =
   let s = h land slot_mask in
   s < t.pool_len && t.gens.(s) = h lsr slot_bits
 
-(* Sweep dead triples out of bucket [b] and return the triple index of
-   its live (time, order) minimum, or -1 if the bucket drained. *)
-let bucket_min t b =
-  let arr = t.buckets.(b) in
-  let len = ref t.blen.(b) in
-  let i = ref 0 in
-  let best = ref (-1) in
-  let bt = ref 0 and bo = ref 0 in
-  while !i < !len do
-    let id = Array.unsafe_get arr ((!i * 3) + 2) in
-    if node_live t id then begin
-      let ti = Array.unsafe_get arr (!i * 3) in
-      let oi = Array.unsafe_get arr ((!i * 3) + 1) in
-      if !best < 0 || ti < !bt || (ti = !bt && oi < !bo) then begin
-        best := !i;
-        bt := ti;
-        bo := oi
-      end;
-      incr i
-    end
-    else begin
-      (* Swap-remove the dead triple; re-examine the moved one. *)
-      let last = !len - 1 in
-      if !i < last then begin
-        Array.unsafe_set arr (!i * 3) (Array.unsafe_get arr (last * 3));
-        Array.unsafe_set arr ((!i * 3) + 1)
-          (Array.unsafe_get arr ((last * 3) + 1));
-        Array.unsafe_set arr ((!i * 3) + 2)
-          (Array.unsafe_get arr ((last * 3) + 2))
-      end;
-      len := last;
-      t.near_count <- t.near_count - 1;
-      t.dead_drops <- t.dead_drops + 1
-    end
-  done;
-  t.blen.(b) <- !len;
-  if !len = 0 then bitmap_clear t b;
-  !best
-
-(* Locate the near tier's live minimum: bitmap-scan from [cur] for the
-   first non-empty bucket, sweeping fully-dead buckets as they are
-   crossed.  Leaves the result in the [next_*] cache fields (src 1)
-   and returns true, or returns false with the tier empty. *)
-let near_min t =
-  let found = ref false in
-  let b = ref t.cur in
-  while (not !found) && !b < n_buckets do
-    (* Skip empty buckets a bitmap word at a time. *)
-    let w = ref (!b lsr 5) in
-    let bits = ref (t.bitmap.(!w) lsr (!b land 31)) in
-    if !bits = 0 then begin
-      incr w;
-      while !w < bitmap_words && t.bitmap.(!w) = 0 do
-        incr w
-      done;
-      if !w >= bitmap_words then b := n_buckets
-      else begin
-        b := !w lsl 5;
-        bits := t.bitmap.(!w)
-      end
-    end;
-    if !b < n_buckets then begin
-      while !bits land 1 = 0 do
-        incr b;
-        bits := !bits lsr 1
-      done;
-      t.cur <- !b;
-      let pos = bucket_min t !b in
-      if pos >= 0 then begin
-        let arr = t.buckets.(!b) in
-        t.next_time <- arr.(pos * 3);
-        t.next_order_key <- arr.((pos * 3) + 1);
-        t.next_src <- 1;
-        t.next_bucket <- !b;
-        t.next_pos <- pos;
-        found := true
-      end
-      else incr b  (* drained by the dead sweep; keep scanning *)
-    end
-  done;
-  !found
-
-(* Establish the location of the earliest live event in the [next_*]
-   cache.  Returns its time in ns, or [min_int] when no live event is
-   pending.  Drops dead heap roots and sweeps scanned-over dead bucket
-   entries on the way (counted in [dead_drops]). *)
-let settle t =
-  if t.settled then t.next_time
-  else begin
-    let near = near_min t in
-    (* Drop dead heap roots. *)
-    let heap = ref (t.size > 0) in
-    while !heap && not (node_live t t.ids.(0)) do
-      remove_root t;
-      t.dead_drops <- t.dead_drops + 1;
-      heap := t.size > 0
-    done;
-    if !heap then begin
-      let th = t.times.(0) and oh = t.orders.(0) in
-      if
-        (not near) || th < t.next_time
-        || (th = t.next_time && oh < t.next_order_key)
-      then begin
-        t.next_time <- th;
-        t.next_order_key <- oh;
-        t.next_src <- 0
-      end
-    end;
-    if !heap || near then t.settled <- true
-    else begin
-      t.next_time <- min_int;
-      t.settled <- true
-    end;
-    t.next_time
+let cancel t h =
+  if is_live t h then begin
+    let s = h land slot_mask in
+    remove t t.pos.(s);
+    free_slot t s
   end
 
-(* Remove the settled node and return its payload slot id.  Must
-   follow a [settle] that found a live event. *)
-let take_settled t =
-  let id =
-    if t.next_src = 0 then begin
-      let id = t.ids.(0) in
-      remove_root t;
-      id
-    end
-    else begin
-      let b = t.next_bucket and pos = t.next_pos in
-      let arr = t.buckets.(b) in
-      let id = arr.((pos * 3) + 2) in
-      let last = t.blen.(b) - 1 in
-      if pos < last then begin
-        arr.(pos * 3) <- arr.(last * 3);
-        arr.((pos * 3) + 1) <- arr.((last * 3) + 1);
-        arr.((pos * 3) + 2) <- arr.((last * 3) + 2)
-      end;
-      t.blen.(b) <- last;
-      if last = 0 then bitmap_clear t b;
-      t.near_count <- t.near_count - 1;
-      t.near_pops <- t.near_pops + 1;
-      id
-    end
-  in
-  t.settled <- false;
-  let s = id land slot_mask in
-  let value = t.values.(s) in
-  free_slot t s;
-  t.live_count <- t.live_count - 1;
-  t.pops <- t.pops + 1;
-  (* Pops shrink the live set without touching buried dead nodes, so
-     the occupancy bound needs the compaction check here too, not just
-     in [cancel]. *)
-  maybe_compact t;
-  value
-
-let next_time_ns t = settle t
+let next_time_ns t = if t.size = 0 then min_int else t.times.(0)
 
 let take_exn t =
-  if settle t = min_int then
-    invalid_arg "Event_queue.take_exn: queue is empty"
-  else take_settled t
+  if t.size = 0 then invalid_arg "Event_queue.take_exn: queue is empty";
+  let s = t.slots.(0) in
+  let value = t.values.(s) in
+  remove t 0;
+  free_slot t s;
+  t.pops <- t.pops + 1;
+  value
 
 let pop t =
-  let tn = settle t in
-  if tn = min_int then None else Some (Simtime.of_ns tn, take_settled t)
+  if t.size = 0 then None
+  else
+    let tn = t.times.(0) in
+    Some (Simtime.of_ns tn, take_exn t)
 
-let peek_time t =
-  let tn = settle t in
-  if tn = min_int then None else Some (Simtime.of_ns tn)
+let peek_time t = if t.size = 0 then None else Some (Simtime.of_ns t.times.(0))

@@ -123,9 +123,9 @@ let step t =
      which event happened to be next. *)
   if t.executed_total >= t.budget then
     raise (Budget_exhausted { budget = t.budget; executed = t.executed_total });
-  (* Unboxed pop: [next_time_ns] settles the queue's next-event cache,
-     so the [take_exn] right after it is a cache hit — no [Some (time,
-     value)] pair is ever allocated on this path. *)
+  (* Unboxed pop: [next_time_ns] reads the heap root and [take_exn]
+     removes it, so no [Some (time, value)] pair is ever allocated on
+     this path. *)
   let tn = Event_queue.next_time_ns t.queue in
   if tn = min_int then false
   else begin

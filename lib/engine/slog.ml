@@ -19,8 +19,12 @@ let enabled level =
   | None -> false
   | Some threshold -> rank level <= rank threshold
 
-(* The message string is only rendered when the level is enabled, so a
-   disabled source costs one comparison per call. *)
+let debug_enabled () = enabled Logs.Debug
+
+(* The message string is only rendered when the level is enabled.  A
+   disabled call still walks the format with [ikfprintf], which
+   allocates a closure per argument, so per-packet callers check
+   [debug_enabled] first. *)
 let stamped level sim fmt =
   if not (enabled level) then Format.ikfprintf ignore Format.str_formatter fmt
   else

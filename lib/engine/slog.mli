@@ -1,7 +1,10 @@
 (** Simulation logging.
 
     Thin wrapper over [Logs] that prefixes messages with the virtual
-    clock.  Disabled (the default) it costs one branch per call. *)
+    clock.  Logging is off by default.  A disabled call renders no
+    string, but it still walks the format and allocates for its
+    arguments, so a call on a per-packet path should be guarded by
+    {!debug_enabled}. *)
 
 val src : Logs.src
 (** The log source for simulator internals ("wtcp.sim"). *)
@@ -9,6 +12,9 @@ val src : Logs.src
 val set_level : Logs.level option -> unit
 (** Set verbosity for all simulator sources and install a reporter on
     stderr if none is installed. *)
+
+val debug_enabled : unit -> bool
+(** [true] iff {!debug} messages are currently emitted. *)
 
 val debug : Simulator.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Debug-level message stamped with the current simulated time. *)

@@ -14,10 +14,12 @@
      itself there ("chase") — and since deadlines that only ever move
      later are the common TCP pattern, the chase usually happens at
      most once per quiet period rather than once per packet.
-   - [cancel] just clears the armed flag ("lazy cancel": the physical
-     event dies as a stale no-op when it surfaces).  This rides the
-     event queue's lazy deletion: the dead event is swept by the
-     queue's compaction/dead-drop machinery, never sifted out eagerly.
+   - [cancel] just clears the armed flag ("lazy cancel"): the physical
+     event stays queued and runs as a stale no-op when it surfaces,
+     unless a later [arm] fuses onto it first.  The timer's owner
+     usually re-arms soon, so this saves a queue cancel and add per
+     restart.  [detach] removes the physical event from the queue at
+     once, for timers that will never be re-armed.
    - [arm] to a deadline EARLIER than the pending physical event must
      still cancel-and-reschedule eagerly (the physical event would
      fire too late to notice), but this is the rare direction.

@@ -4,9 +4,10 @@
     physical event in the simulator queue.  Restarting to a later
     deadline reuses the pending physical event (no queue traffic — the
     event "chases" the deadline if it surfaces early); cancelling just
-    disarms the timer and lets the physical event die as a stale no-op
-    through the queue's lazy deletion.  Only a restart to an {e
-    earlier} deadline pays an eager cancel-and-reschedule.
+    disarms the timer and leaves the physical event queued, to run as a
+    stale no-op unless a later restart reuses it.  Only a restart to an
+    {e earlier} deadline, and {!detach}, cancel the physical event in
+    the queue.
 
     This is the intended encoding for the simulator's hot timers —
     TCP retransmission and ARQ ack/backoff timers — whose deadlines

@@ -231,8 +231,8 @@ and on_entry_timer t entry =
 and release t entry =
   (* Detach rather than lazy-cancel: a released entry is never re-armed,
      so leaving its physical event behind would execute a stale no-op
-     per frame.  Detach is O(1) too — the queue's own deletion is
-     lazy. *)
+     per frame.  Detach removes it from the queue's small heap in
+     O(log n). *)
   Soft_timer.detach entry.timer;
   inflight_remove t entry.frame.Frame.seq;
   t.slots_held <- t.slots_held - 1;

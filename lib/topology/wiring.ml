@@ -400,8 +400,9 @@ let run ?obs ?faults (scenario : Scenario.t) =
           match scenario.scheme with
           | Ebsn ->
             if Feedback.Ebsn.admit ebsn_gate ~conn ~now then begin
-              Slog.debug sim "bs sends ebsn (attempt failed for %a)"
-                Packet.pp pkt;
+              if Slog.debug_enabled () then
+                Slog.debug sim "bs sends ebsn (attempt failed for %a)"
+                  Packet.pp pkt;
               incr ebsn_sent;
               send_notification ~make_packet:(fun () ->
                   Feedback.Ebsn.make ~alloc_id ~src:bs_addr
@@ -445,9 +446,10 @@ let run ?obs ?faults (scenario : Scenario.t) =
 
   (* Tracing hooks. *)
   Tcp_sender.set_on_send sender (fun pkt ->
-      Slog.debug sim "src sends %a (cwnd=%dB una=%d)" Packet.pp pkt
-        (Tcp_sender.cwnd_bytes sender)
-        (Tcp_sender.snd_una sender);
+      if Slog.debug_enabled () then
+        Slog.debug sim "src sends %a (cwnd=%dB una=%d)" Packet.pp pkt
+          (Tcp_sender.cwnd_bytes sender)
+          (Tcp_sender.snd_una sender);
       match pkt.Packet.kind with
       | Packet.Tcp_data { seq; is_retransmit; _ } ->
         Metrics.Trace.record trace (Simulator.now sim)
@@ -530,12 +532,7 @@ let run ?obs ?faults (scenario : Scenario.t) =
       c "engine.queue.pops" qs.Event_queue.pops;
       c "engine.queue.cancels" qs.Event_queue.cancels;
       c "engine.queue.max_size" qs.Event_queue.max_size;
-      c "engine.queue.dead_drops" qs.Event_queue.dead_drops;
-      c "engine.queue.compactions" qs.Event_queue.compactions;
       c "engine.queue.recycled" qs.Event_queue.recycled;
-      c "engine.queue.near_adds" qs.Event_queue.near_adds;
-      c "engine.queue.near_pops" qs.Event_queue.near_pops;
-      c "engine.queue.rebases" qs.Event_queue.rebases;
       (* Soft-timer churn: the TCP retransmission timer plus every ARQ
          entry timer, so cancel-fusion efficacy is visible per run. *)
       let timers name (tc : Soft_timer.counters) =

@@ -221,31 +221,22 @@ let test_queue_interleaved_growth () =
 let test_queue_cancel_heavy_bounded () =
   (* The paper's workload in miniature: per-flow retransmission timers
      armed and re-armed on every ACK, so nearly every add is
-     cancelled.  Lazy deletion must not let the heap grow O(adds):
-     occupancy stays O(live timers) throughout. *)
+     cancelled.  Cancelled events leave the heap at once, so its peak
+     size is exactly the number of live timers. *)
   let q = Event_queue.create () in
   let flows = 32 in
   let timers =
     Array.init flows (fun i -> Event_queue.add q ~time:(Simtime.of_ns i) i)
   in
-  let max_occupancy = ref 0 in
-  let bound_ok = ref true in
   for step = 1 to 100_000 do
     let i = step mod flows in
     Event_queue.cancel q timers.(i);
     timers.(i) <- Event_queue.add q ~time:(Simtime.of_ns (step + i)) i;
-    if step mod 64 = 0 then ignore (Event_queue.pop q);
-    let occ = Event_queue.occupancy q in
-    if occ > !max_occupancy then max_occupancy := occ;
-    if occ > Stdlib.max (2 * Event_queue.length q) 64 then bound_ok := false
+    if step mod 64 = 0 then ignore (Event_queue.pop q)
   done;
-  Alcotest.(check bool) "occupancy <= max (2*live) 64 after every op" true
-    !bound_ok;
-  (* ~100k adds against ~32 live timers: the heap never grew past the
-     compaction floor. *)
-  Alcotest.(check bool) "max occupancy stayed near the live set" true
-    (!max_occupancy <= 64 + (2 * flows));
   let s = Event_queue.stats q in
+  Alcotest.(check int) "peak size is the live timer count" flows
+    s.Event_queue.max_size;
   Alcotest.(check int) "conservation: adds = pops + cancels + live"
     s.Event_queue.adds
     (s.Event_queue.pops + s.Event_queue.cancels + Event_queue.length q);
@@ -254,8 +245,9 @@ let test_queue_cancel_heavy_bounded () =
 
 (* Model check: the heap against a naive sorted list, under
    interleaved add/pop/cancel.  [add_w] and [cancel_w] are percentage
-   weights (pop takes the rest).  Checks pop order, length, the
-   occupancy bound and the stats identities after every operation. *)
+   weights (pop takes the rest).  Checks pop order and length after
+   every operation, and that the stats identity holds and the peak
+   size equals the model's peak live count. *)
 let prop_queue_model ~name ~add_w ~cancel_w =
   QCheck2.Test.make ~name ~count:150
     QCheck2.Gen.(
@@ -277,12 +269,10 @@ let prop_queue_model ~name ~add_w ~cancel_w =
         model := go !model
       in
       let ok = ref true in
+      let peak = ref 0 in
       let agree () =
-        ok :=
-          !ok
-          && Event_queue.length q = List.length !model
-          && Event_queue.occupancy q
-             <= Stdlib.max (2 * Event_queue.length q) 64
+        peak := Stdlib.max !peak (List.length !model);
+        ok := !ok && Event_queue.length q = List.length !model
       in
       List.iter
         (fun (sel, t) ->
@@ -333,8 +323,7 @@ let prop_queue_model ~name ~add_w ~cancel_w =
       !ok
       && s.Event_queue.adds
          = s.Event_queue.pops + s.Event_queue.cancels + Event_queue.length q
-      && s.Event_queue.dead_drops <= s.Event_queue.cancels
-      && s.Event_queue.max_size >= Event_queue.occupancy q)
+      && s.Event_queue.max_size = !peak)
 
 let prop_queue_model_mixed =
   prop_queue_model ~name:"queue matches sorted-list model (mixed ops)"
@@ -342,7 +331,7 @@ let prop_queue_model_mixed =
 
 let prop_queue_model_cancel_heavy =
   (* Of the events that leave the queue, >90% leave by cancellation:
-     the lazy-deletion, generation-recycling and compaction paths
+     the remove-from-the-middle and generation-recycling paths
      dominate. *)
   prop_queue_model ~name:"queue matches sorted-list model (>90% cancels)"
     ~add_w:47 ~cancel_w:49
@@ -533,6 +522,80 @@ let test_queue_stale_handle_cancel () =
   Event_queue.cancel q Event_queue.null
 
 (* ------------------------------------------------------------------ *)
+(* Event queue eager removal                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Times added in an order that never sifts, so node [i] of the 4-ary
+   heap is the [i]th add: root 0; children 1-4 at 50, 10, 60, 70; the
+   children of node 1 (nodes 5-8) at 51-54; node 9, a child of node 2,
+   at 20.  Node 9 is smaller than node 1 though it sits in another
+   subtree. *)
+let layout_times = [ 0; 50; 10; 60; 70; 51; 52; 53; 54; 20 ]
+
+let layout () =
+  let q = Event_queue.create () in
+  let handles =
+    Array.of_list
+      (List.map (fun n -> Event_queue.add q ~time:(Simtime.of_ns n) n) layout_times)
+  in
+  (q, handles)
+
+let drain_times q =
+  let rec go acc =
+    match Event_queue.pop q with
+    | Some (t, v) ->
+      Alcotest.(check int) "payload travels with its time" (Simtime.to_ns t) v;
+      go (v :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+let sorted_without removed =
+  List.sort compare (List.filter (fun n -> not (List.mem n removed)) layout_times)
+
+let test_queue_cancel_root () =
+  let q, h = layout () in
+  Event_queue.cancel q h.(0);
+  Alcotest.(check (option int)) "next is the smallest survivor" (Some 10)
+    (Option.map Simtime.to_ns (Event_queue.peek_time q));
+  Alcotest.(check (list int)) "pop order" (sorted_without [ 0 ]) (drain_times q)
+
+let test_queue_cancel_last () =
+  let q, h = layout () in
+  Event_queue.cancel q h.(9);
+  Alcotest.(check int) "length" 9 (Event_queue.length q);
+  Alcotest.(check (list int)) "pop order" (sorted_without [ 20 ]) (drain_times q)
+
+let test_queue_cancel_sifts_up () =
+  (* Cancelling node 5 moves the last node (20) into its place, under
+     node 1 (50): the replacement must sift up, or 50 pops before 20. *)
+  let q, h = layout () in
+  Event_queue.cancel q h.(5);
+  Alcotest.(check (list int)) "pop order" (sorted_without [ 51 ]) (drain_times q)
+
+let test_queue_stale_cancel_keeps_others () =
+  (* A repeated cancel, and a cancel of an event that already popped,
+     must leave the pending events alone even while the freed slots
+     sit on the free list. *)
+  let q, h = layout () in
+  Event_queue.cancel q h.(6);
+  Event_queue.cancel q h.(6);
+  ignore (Event_queue.pop q);
+  Event_queue.cancel q h.(0);
+  Alcotest.(check int) "length" 8 (Event_queue.length q);
+  Alcotest.(check int) "cancels counted once" 1
+    (Event_queue.stats q).Event_queue.cancels;
+  Alcotest.(check (list int)) "pop order" (sorted_without [ 0; 52 ])
+    (drain_times q)
+
+let test_queue_popped_not_live () =
+  let q = Event_queue.create () in
+  let h = Event_queue.add q ~time:(Simtime.of_ns 3) 3 in
+  Alcotest.(check bool) "pending is live" true (Event_queue.is_live q h);
+  ignore (Event_queue.take_exn q);
+  Alcotest.(check bool) "popped is not live" false (Event_queue.is_live q h)
+
+(* ------------------------------------------------------------------ *)
 (* Soft_timer                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -655,6 +718,14 @@ let () =
             test_queue_cancel_heavy_bounded;
           Alcotest.test_case "stale handle cancel is a no-op" `Quick
             test_queue_stale_handle_cancel;
+          Alcotest.test_case "cancel root" `Quick test_queue_cancel_root;
+          Alcotest.test_case "cancel last node" `Quick test_queue_cancel_last;
+          Alcotest.test_case "cancel interior sifts up" `Quick
+            test_queue_cancel_sifts_up;
+          Alcotest.test_case "stale or double cancel keeps others" `Quick
+            test_queue_stale_cancel_keeps_others;
+          Alcotest.test_case "popped handle not live" `Quick
+            test_queue_popped_not_live;
           qc prop_queue_matches_sort;
           qc prop_queue_model_mixed;
           qc prop_queue_model_cancel_heavy;
