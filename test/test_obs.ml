@@ -474,6 +474,51 @@ let test_chaos_trace_coverage () =
       "suppress"; "quench";
     ]
 
+(* The ns-format link trace, pinned by MD5 and length.  Every link
+   monitor event (enqueue, tx start, receive, drop, loss) and the FIFOs
+   that order them feed these bytes; the fault cells are the ones that
+   reach the drop and loss lines. *)
+let nstrace_golden =
+  [
+    ("wan ebsn seed 3", "113e70f5baa3667f2fa206ce43abd3ba", 23653);
+    ("lan basic", "c5a3666000532f60e1a8b2294608247f", 64928);
+    ("chaos wan ebsn", "91230e0c15f0317a1d9c9bdf5aa5672e", 362772);
+    ("chaos wan quench", "13aeb93a9ba2819846ec791410401ca6", 380688);
+  ]
+
+let test_nstrace_golden () =
+  let collect s = { s with Scenario.collect_nstrace = true } in
+  let runs =
+    ( "wan ebsn seed 3",
+      Wiring.run
+        (collect (Scenario.wan ~scheme:Scenario.Ebsn ~seed:3 ~file_bytes:10_240 ())) )
+    :: ("lan basic", Wiring.run (collect (small_lan ~scheme:Scenario.Basic ~seed:1)))
+    :: List.map
+         (fun spec ->
+           ( spec.Chaos.label,
+             Wiring.run ~faults:spec.Chaos.plan (collect spec.Chaos.scenario) ))
+         chaos_specs
+  in
+  List.iter2
+    (fun (name, outcome) (gname, md5, len) ->
+      Alcotest.(check string) "golden table order" gname name;
+      let trace = Option.value outcome.Wiring.nstrace ~default:"" in
+      Alcotest.(check string) (name ^ ": nstrace md5") md5
+        (Digest.to_hex (Digest.string trace));
+      Alcotest.(check int) (name ^ ": nstrace bytes") len (String.length trace))
+    runs nstrace_golden;
+  let ops =
+    List.concat_map
+      (fun (_, o) ->
+        List.filter_map
+          (fun line -> if line = "" then None else Some (String.sub line 0 1))
+          (String.split_on_char '\n' (Option.value o.Wiring.nstrace ~default:"")))
+      runs
+  in
+  List.iter
+    (fun op -> Alcotest.(check bool) (op ^ " lines present") true (List.mem op ops))
+    [ "+"; "-"; "r"; "d"; "x" ]
+
 (* ------------------------------------------------------------------ *)
 (* Randomised Gilbert–Elliott scenarios stay invariant-clean           *)
 (* ------------------------------------------------------------------ *)
@@ -549,5 +594,6 @@ let () =
             test_golden_bytes;
           Alcotest.test_case "chaos cells reach rare trace sites" `Slow
             test_chaos_trace_coverage;
+          Alcotest.test_case "ns-trace bytes pinned" `Slow test_nstrace_golden;
         ] );
     ]
