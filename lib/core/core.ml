@@ -37,6 +37,7 @@ module Units = Netsim.Units
 module Address = Netsim.Address
 module Ids = Netsim.Ids
 module Packet = Netsim.Packet
+module Ring = Netsim.Ring
 module Queue_drop_tail = Netsim.Queue_drop_tail
 module Link = Netsim.Link
 module Node = Netsim.Node

@@ -3,11 +3,17 @@
    The 64-bit state and arithmetic are carried in two 32-bit halves
    held in native ints.  OCaml's [Int64] is boxed (and this project
    builds without flambda), so the obvious [Int64] formulation
-   allocates ~9 boxes per draw; the halved form allocates nothing on
-   any draw path.  The output is bit-for-bit identical to the [Int64]
-   formulation — the regression test in test/ replays both against
-   each other — which is load-bearing: every figure in the repo is
-   pinned by MD5 to the exact random streams. *)
+   allocates ~9 boxes per draw; the halved form allocates nothing
+   inside the generator.  The int draws ([int], [bool],
+   [uniform_bits]) reach their callers unboxed.  [uniform], [float]
+   and [exponential] return a float, which is boxed when it crosses
+   into another module (the dev profile compiles with [-opaque], so
+   nothing is inlined across modules); a per-frame caller therefore
+   draws [uniform_bits] and scales it itself.  The output is
+   bit-for-bit identical to the [Int64] formulation — the regression
+   test in test/ replays both against each other — which is
+   load-bearing: every figure in the repo is pinned by MD5 to the
+   exact random streams. *)
 
 let mask16 = 0xFFFF
 let mask32 = 0xFFFFFFFF
@@ -106,11 +112,12 @@ let int t n =
   let v = (t.out_hi lsl 30) lor (t.out_lo lsr 2) in
   v mod n
 
-let uniform t =
-  (* 53 random bits into the mantissa: uniform on [0, 1). *)
+let uniform_bits t =
   next t;
-  let bits = (t.out_hi lsl 21) lor (t.out_lo lsr 11) in
-  float_of_int bits *. 0x1p-53
+  (t.out_hi lsl 21) lor (t.out_lo lsr 11)
+
+(* 53 random bits into the mantissa: uniform on [0, 1). *)
+let uniform t = float_of_int (uniform_bits t) *. 0x1p-53
 
 let float t x =
   if not (Float.is_finite x) || x <= 0.0 then

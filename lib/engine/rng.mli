@@ -31,7 +31,13 @@ val float : t -> float -> float
     [x <= 0] or [x] is not finite. *)
 
 val uniform : t -> float
-(** Uniform on [0, 1). *)
+(** Uniform on [0, 1): [float_of_int (uniform_bits t) *. 0x1p-53]. *)
+
+val uniform_bits : t -> int
+(** The 53 random bits behind {!uniform}, uniform on [[0, 2^53)].  An
+    int crosses module boundaries unboxed, so a per-frame caller scales
+    the bits itself, with the same operation as {!uniform}, instead of
+    receiving a boxed float. *)
 
 val bool : t -> bool
 (** A fair coin flip. *)

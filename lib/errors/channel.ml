@@ -1,43 +1,50 @@
 open Sim_engine
 
-type t = {
-  description : string;
-  segments_fn :
-    start:Simtime.t -> stop:Simtime.t -> (Channel_state.t * Simtime.span) list;
-  weighted_fn :
-    start:Simtime.t -> stop:Simtime.t -> good:float -> bad:float -> float;
+type weights = State_timeline.weights = {
+  mutable good : float;
+  mutable bad : float;
+  mutable sum : float;
 }
 
-(* Fallback weighted query: fold the segment list with the same
-   per-segment float operations (and the same order) as the direct
-   implementations, so a channel built without [~weighted] computes
-   bit-identical sums. *)
-let fold_weighted segments_fn ~start ~stop ~good ~bad =
-  if Simtime.(stop <= start) then 0.0
-  else
-    List.fold_left
-      (fun acc (state, span) ->
-        let rate =
-          match state with Channel_state.Good -> good | Channel_state.Bad -> bad
-        in
-        acc +. (rate *. Simtime.span_to_sec span))
-      0.0
-      (segments_fn ~start ~stop)
+type source =
+  | Timeline of State_timeline.t
+  | Segments of
+      (start:Simtime.t -> stop:Simtime.t -> (Channel_state.t * Simtime.span) list)
 
-let make ?weighted ~description ~segments () =
-  let weighted_fn =
-    match weighted with Some f -> f | None -> fold_weighted segments
-  in
-  { description; segments_fn = segments; weighted_fn }
+type t = { description : string; source : source; weights : weights }
 
+let create description source =
+  { description; source; weights = { good = 0.0; bad = 0.0; sum = 0.0 } }
+
+let make ~description ~segments () = create description (Segments segments)
+let of_timeline ~description timeline = create description (Timeline timeline)
 let description t = t.description
 
 let segments t ~start ~stop =
-  if Simtime.(stop <= start) then [] else t.segments_fn ~start ~stop
+  if Simtime.(stop <= start) then []
+  else
+    match t.source with
+    | Timeline timeline -> State_timeline.segments timeline ~start ~stop
+    | Segments f -> f ~start ~stop
 
-let weighted_seconds t ~start ~stop ~good ~bad =
-  if Simtime.(stop <= start) then 0.0
-  else t.weighted_fn ~start ~stop ~good ~bad
+let weights t = t.weights
+
+(* A segment-query channel folds its list with the same per-segment
+   float operations, in the same order, as the timeline walk, so both
+   kinds compute bit-identical sums. *)
+let weigh t ~start ~stop =
+  let w = t.weights in
+  match t.source with
+  | Timeline timeline -> State_timeline.weigh timeline w ~start ~stop
+  | Segments _ ->
+    w.sum <- 0.0;
+    List.iter
+      (fun (state, span) ->
+        let rate =
+          match state with Channel_state.Good -> w.good | Channel_state.Bad -> w.bad
+        in
+        w.sum <- w.sum +. (rate *. Simtime.span_to_sec span))
+      (segments t ~start ~stop)
 
 let state_at t at =
   match

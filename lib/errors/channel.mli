@@ -10,12 +10,6 @@ type t
 (** A channel state process. *)
 
 val make :
-  ?weighted:
-    (start:Sim_engine.Simtime.t ->
-    stop:Sim_engine.Simtime.t ->
-    good:float ->
-    bad:float ->
-    float) ->
   description:string ->
   segments:
     (start:Sim_engine.Simtime.t ->
@@ -25,14 +19,13 @@ val make :
   t
 (** Build a channel from a segment query.  [segments ~start ~stop]
     must return the channel states covering [[start, stop)] in order,
-    with durations summing to [stop - start].
+    with durations summing to [stop - start].  {!weigh} folds the
+    segment list. *)
 
-    [weighted], when given, serves {!weighted_seconds} directly;
-    implementations backed by a materialised timeline supply an
-    allocation-free walk (see
-    {!State_timeline.weighted_seconds}).  When omitted, it is derived
-    by folding [segments] — producing bit-identical sums, just
-    slower. *)
+val of_timeline : description:string -> State_timeline.t -> t
+(** A channel backed by a materialised timeline: {!segments} and
+    {!weigh} query it directly, and {!weigh} walks it without
+    allocating (see {!State_timeline.weigh}). *)
 
 val description : t -> string
 (** Human-readable description (for reports). *)
@@ -45,18 +38,26 @@ val segments :
 (** States covering [[start, stop)], in order, durations summing to
     [stop - start].  Returns [[]] if [stop <= start]. *)
 
-val weighted_seconds :
-  t ->
-  start:Sim_engine.Simtime.t ->
-  stop:Sim_engine.Simtime.t ->
-  good:float ->
-  bad:float ->
-  float
-(** Per-state rate weighted by seconds spent in that state over
-    [[start, stop)]: [good *. sec(Good) +. bad *. sec(Bad)], summed
-    segment by segment.  Returns [0.] if [stop <= start].  This is the
-    frame-loss hot path — timeline-backed channels serve it without
-    allocating. *)
+type weights = State_timeline.weights = {
+  mutable good : float;
+  mutable bad : float;
+  mutable sum : float;
+}
+(** Per-state rates in, weighted sum out.  All-float, so stored flat:
+    its fields are read and written without boxing. *)
+
+val weights : t -> weights
+(** The channel's own accumulator.  Set its [good] and [bad] rates,
+    call {!weigh}, then read [sum]. *)
+
+val weigh :
+  t -> start:Sim_engine.Simtime.t -> stop:Sim_engine.Simtime.t -> unit
+(** Set [(weights t).sum] to the per-state rates weighted by the
+    seconds spent in each state over [[start, stop)]:
+    [good *. sec(Good) +. bad *. sec(Bad)], summed segment by segment;
+    [0.] if [stop <= start].  This is the frame-loss hot path: no float
+    crosses a module boundary, and timeline-backed channels serve it
+    without allocating. *)
 
 val state_at : t -> Sim_engine.Simtime.t -> Channel_state.t
 (** The state at a single instant. *)

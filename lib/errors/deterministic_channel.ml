@@ -14,8 +14,4 @@ let create ~good ~bad =
     Format.asprintf "deterministic good=%a bad=%a" Simtime.pp_span good
       Simtime.pp_span bad
   in
-  Channel.make
-    ~weighted:(State_timeline.weighted_seconds timeline)
-    ~description
-    ~segments:(State_timeline.segments timeline)
-    ()
+  Channel.of_timeline ~description timeline

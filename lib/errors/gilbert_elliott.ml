@@ -14,8 +14,4 @@ let create ~rng ~mean_good ~mean_bad =
     Format.asprintf "gilbert-elliott good=%a bad=%a" Simtime.pp_span mean_good
       Simtime.pp_span mean_bad
   in
-  Channel.make
-    ~weighted:(State_timeline.weighted_seconds timeline)
-    ~description
-    ~segments:(State_timeline.segments timeline)
-    ()
+  Channel.of_timeline ~description timeline

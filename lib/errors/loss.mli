@@ -48,18 +48,6 @@ val frame_lost :
 (** Decide whether a frame with the given airtime decomposition is
     lost. *)
 
-val expected_errors_in :
-  ber ->
-  bits_per_sec:float ->
-  channel:Channel.t ->
-  start:Sim_engine.Simtime.t ->
-  stop:Sim_engine.Simtime.t ->
-  float
-(** {!expected_errors} computed directly against the channel over the
-    frame's airtime [[start, stop)], via
-    {!Channel.weighted_seconds} — bit-identical to folding
-    [Channel.segments], without building the list. *)
-
 val frame_lost_in :
   decision ->
   ber ->
@@ -68,7 +56,10 @@ val frame_lost_in :
   start:Sim_engine.Simtime.t ->
   stop:Sim_engine.Simtime.t ->
   bool
-(** {!frame_lost} against the channel directly: identical decisions
-    and identical RNG stream consumption to calling {!frame_lost} on
-    [Channel.segments channel ~start ~stop] (the allocation-free frame
-    hot path). *)
+(** {!frame_lost} against the channel directly, over the frame's
+    airtime [[start, stop)]: identical decisions and identical RNG
+    stream consumption to calling {!frame_lost} on
+    [Channel.segments channel ~start ~stop].  This is the frame hot
+    path: the expected error count goes through {!Channel.weigh}, and
+    on a timeline-backed channel whose periods already cover the
+    airtime the call allocates nothing. *)

@@ -1,5 +1,7 @@
 open Sim_engine
 
+type weights = { mutable good : float; mutable bad : float; mutable sum : float }
+
 type t = {
   start_state : Channel_state.t;
   duration_of : Channel_state.t -> Simtime.span;
@@ -68,26 +70,28 @@ let segments t ~start ~stop =
 (* Allocation-free fold of [segments]: per-state rate weighted by
    seconds spent in that state over [[start, stop)).  The frame-loss
    hot path (one call per frame) uses this instead of materialising a
-   segment list it would immediately fold away. *)
-let weighted_seconds t ~start ~stop ~good ~bad =
-  if Simtime.(stop <= start) then 0.0
-  else begin
+   segment list it would immediately fold away.  The rates come in and
+   the sum goes out through a flat all-float record, and each span is
+   converted to seconds here with [Simtime.span_to_sec]'s operation,
+   because a float returned from another module is boxed. *)
+let weigh t w ~start ~stop =
+  w.sum <- 0.0;
+  if Simtime.(start < stop) then begin
     extend_until t stop;
-    let acc = ref 0.0 in
     let i = ref (index_at t start) in
     let cursor = ref start in
     while Simtime.(!cursor < stop) do
       let finish = Simtime.min t.ends.(!i) stop in
       let rate =
         match state_of_index t !i with
-        | Channel_state.Good -> good
-        | Channel_state.Bad -> bad
+        | Channel_state.Good -> w.good
+        | Channel_state.Bad -> w.bad
       in
-      acc := !acc +. (rate *. Simtime.span_to_sec (Simtime.diff finish !cursor));
+      let ns = Simtime.span_to_ns (Simtime.diff finish !cursor) in
+      w.sum <- w.sum +. (rate *. (float_of_int ns *. 1e-9));
       cursor := finish;
       incr i
-    done;
-    !acc
+    done
   end
 
 let periods_materialised t = t.count

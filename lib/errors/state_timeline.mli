@@ -32,21 +32,21 @@ val index_at : t -> Sim_engine.Simtime.t -> int
     @raise Invalid_argument if no period has been materialised yet, or
     if the time lies at or beyond the end of the last materialised
     period — extend the timeline first (e.g. via {!segments} or
-    {!weighted_seconds} with a covering range). *)
+    {!weigh} with a covering range). *)
 
-val weighted_seconds :
-  t ->
-  start:Sim_engine.Simtime.t ->
-  stop:Sim_engine.Simtime.t ->
-  good:float ->
-  bad:float ->
-  float
-(** [weighted_seconds t ~start ~stop ~good ~bad] is
-    [good *. (seconds spent Good) +. bad *. (seconds spent Bad)] over
-    [[start, stop)], materialising periods as needed.  Equivalent to
-    folding {!segments} with per-state rates, without building the
-    list; the per-frame loss probability uses it as
-    [rate * seconds = expected bit errors] with [good]/[bad] set to
+type weights = { mutable good : float; mutable bad : float; mutable sum : float }
+(** Per-state rates in, weighted sum out.  An all-float record is
+    stored flat, so its fields are read and written without boxing. *)
+
+val weigh :
+  t -> weights -> start:Sim_engine.Simtime.t -> stop:Sim_engine.Simtime.t -> unit
+(** [weigh t w ~start ~stop] sets [w.sum] to
+    [w.good *. (seconds spent Good) +. w.bad *. (seconds spent Bad)]
+    over [[start, stop)], segment by segment, materialising periods as
+    needed; [0.] if [stop <= start].  Bit-identical to folding
+    {!segments} with the same rates, and allocation-free once the
+    periods exist.  The per-frame loss probability uses it as
+    [rate * seconds = expected bit errors], with the rates set to
     [BER * bits_per_sec]. *)
 
 val periods_materialised : t -> int

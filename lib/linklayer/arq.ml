@@ -36,9 +36,12 @@ type stats = {
 (* What the entry's (single) timer means when it fires. *)
 type timer_kind = Ack_wait | Backoff_wait
 
+(* Entries are recycled: [release] returns an entry to the free list,
+   and [send] refills one with the next frame, keeping its timer and
+   the timer's callback. *)
 type entry = {
-  frame : Frame.t;
-  conn : int;
+  mutable frame : Frame.t;
+  mutable conn : int;
   mutable attempts : int;  (* transmissions performed so far *)
   timer : Soft_timer.t;  (* ack timeout or backoff, per timer_kind *)
   mutable timer_kind : timer_kind;
@@ -74,6 +77,10 @@ type t = {
   mutable inflight : entry array;
   mutable inflight_len : int;
   dummy_entry : entry;
+  (* Released entries, ready for reuse; slots beyond [free_len] hold
+     [dummy_entry]. *)
+  mutable free : entry array;
+  mutable free_len : int;
   mutable slots_held : int;  (* window slots in use *)
   mutable next_seq : int;
   mutable on_attempt_failure : (Frame.t -> attempt:int -> unit) option;
@@ -109,9 +116,7 @@ let inflight_find t seq =
 
 let inflight_add t entry =
   if t.inflight_len = Array.length t.inflight then begin
-    let bigger =
-      Array.make (2 * Stdlib.max 1 t.inflight_len) t.dummy_entry
-    in
+    let bigger = Array.make (2 * Int.max 1 t.inflight_len) t.dummy_entry in
     Array.blit t.inflight 0 bigger 0 t.inflight_len;
     t.inflight <- bigger
   end;
@@ -229,14 +234,24 @@ and on_entry_timer t entry =
   | Backoff_wait -> transmit t entry
 
 and release t entry =
-  (* Detach rather than lazy-cancel: a released entry is never re-armed,
-     so leaving its physical event behind would execute a stale no-op
-     per frame.  Detach removes it from the queue's small heap in
-     O(log n). *)
+  (* Detach rather than lazy-cancel: a released entry's timer is not
+     re-armed until the entry carries another frame, so leaving its
+     physical event behind would execute a stale no-op per frame.
+     Detach removes it from the queue's small heap in O(log n). *)
   Soft_timer.detach entry.timer;
   inflight_remove t entry.frame.Frame.seq;
   t.slots_held <- t.slots_held - 1;
+  recycle t entry;
   pump t
+
+and recycle t entry =
+  if t.free_len = Array.length t.free then begin
+    let bigger = Array.make (2 * Int.max 1 t.free_len) t.dummy_entry in
+    Array.blit t.free 0 bigger 0 t.free_len;
+    t.free <- bigger
+  end;
+  t.free.(t.free_len) <- entry;
+  t.free_len <- t.free_len + 1
 
 and complete_entry t entry =
   t.completions <- t.completions + 1;
@@ -250,14 +265,13 @@ and complete_entry t entry =
 
 (* Fill free window slots from the scheduler. *)
 and pump t =
-  if t.slots_held < t.cfg.window then
-    match Sched.pop t.waiting with
-    | None -> ()
-    | Some (_conn, entry) ->
-      t.slots_held <- t.slots_held + 1;
-      inflight_add t entry;
-      transmit t entry;
-      pump t
+  if t.slots_held < t.cfg.window && not (Sched.is_empty t.waiting) then begin
+    let entry = Sched.pop t.waiting in
+    t.slots_held <- t.slots_held + 1;
+    inflight_add t entry;
+    transmit t entry;
+    pump t
+  end
 
 let create sim ~rng ~config ~link =
   if config.rt_max < 0 then invalid_arg "Arq.create: negative rt_max";
@@ -285,6 +299,8 @@ let create sim ~rng ~config ~link =
       inflight = Array.make config.window dummy_entry;
       inflight_len = 0;
       dummy_entry;
+      free = Array.make config.window dummy_entry;
+      free_len = 0;
       slots_held = 0;
       next_seq = 0;
       on_attempt_failure = None;
@@ -311,25 +327,46 @@ let create sim ~rng ~config ~link =
 let set_on_attempt_failure t f = t.on_attempt_failure <- Some f
 let set_on_discard t f = t.on_discard <- Some f
 
+(* A released entry when one is free, else a fresh one whose timer
+   callback is bound once for the entry's whole life. *)
+let take_entry t =
+  if t.free_len > 0 then begin
+    let n = t.free_len - 1 in
+    let entry = t.free.(n) in
+    t.free.(n) <- t.dummy_entry;
+    t.free_len <- n;
+    entry
+  end
+  else begin
+    let entry =
+      {
+        frame = t.dummy_entry.frame;
+        conn = -1;
+        attempts = 0;
+        timer = Soft_timer.create t.sim ~counters:t.timer_counters ignore;
+        timer_kind = Ack_wait;
+        in_link = false;
+        acked = false;
+      }
+    in
+    Soft_timer.set_callback entry.timer (fun () -> on_entry_timer t entry);
+    entry
+  end
+
 let send t ~conn payload =
-  let frame = Frame.{ seq = t.next_seq; payload } in
-  let entry =
-    {
-      frame;
-      conn;
-      attempts = 0;
-      timer = Soft_timer.create t.sim ~counters:t.timer_counters ignore;
-      timer_kind = Ack_wait;
-      in_link = false;
-      acked = false;
-    }
-  in
-  Soft_timer.set_callback entry.timer (fun () -> on_entry_timer t entry);
+  let entry = take_entry t in
+  entry.frame <- Frame.{ seq = t.next_seq; payload };
+  entry.conn <- conn;
+  entry.attempts <- 0;
+  entry.timer_kind <- Ack_wait;
+  entry.in_link <- false;
+  entry.acked <- false;
   let accepted = Sched.push t.waiting ~conn entry in
   if accepted then begin
     t.next_seq <- t.next_seq + 1;
     pump t
-  end;
+  end
+  else recycle t entry;
   accepted
 
 let handle_link_ack t ~acked_seq =

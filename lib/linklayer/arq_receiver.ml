@@ -25,7 +25,8 @@ type t = {
   deliver : Frame.payload -> unit;
   buffer : (int, Frame.payload) Hashtbl.t;  (* out-of-order frames *)
   mutable expected : int;  (* next link seq to deliver *)
-  mutable hole_timer : Simulator.event option;
+  mutable hole_timer : Simulator.event;  (* [Simulator.null_event] when none *)
+  mutable hole_fn : unit -> unit;  (* the hole timer's one closure *)
   mutable received_count : int;
   mutable duplicate_count : int;
   mutable ack_count : int;
@@ -33,27 +34,6 @@ type t = {
   mutable hole_count : int;
   mutable straggler_count : int;
 }
-
-let create sim ?send_ack ?on_link_ack ?resequence ?(dedup = false) ~deliver
-    () =
-  {
-    sim;
-    send_ack;
-    on_link_ack;
-    resequence;
-    dedup;
-    seen = Array.make 8 0;
-    deliver;
-    buffer = Hashtbl.create 32;
-    expected = 0;
-    hole_timer = None;
-    received_count = 0;
-    duplicate_count = 0;
-    ack_count = 0;
-    resequenced_count = 0;
-    hole_count = 0;
-    straggler_count = 0;
-  }
 
 let seen_mem t seq =
   let w = seq lsr 5 in
@@ -71,44 +51,65 @@ let seen_add t seq =
   t.seen.(w) <- t.seen.(w) lor (1 lsl (seq land 31))
 
 let cancel_hole_timer t =
-  match t.hole_timer with
-  | None -> ()
-  | Some ev ->
-    Simulator.cancel t.sim ev;
-    t.hole_timer <- None
+  Simulator.cancel t.sim t.hole_timer;
+  t.hole_timer <- Simulator.null_event
 
 (* Deliver the expected frame and everything contiguous after it. *)
 let rec drain t =
-  match Hashtbl.find_opt t.buffer t.expected with
-  | Some payload ->
+  match Hashtbl.find t.buffer t.expected with
+  | payload ->
     Hashtbl.remove t.buffer t.expected;
     t.expected <- t.expected + 1;
     t.resequenced_count <- t.resequenced_count + 1;
     t.deliver payload;
     drain t
-  | None -> ()
+  | exception Not_found -> ()
 
-let rec arm_hole_timer t timeout =
+let arm_hole_timer t timeout =
   cancel_hole_timer t;
   if Hashtbl.length t.buffer > 0 then
     t.hole_timer <-
-      Some
-        (Simulator.schedule_after t.sim ~delay:timeout.hole_timeout (fun () ->
-             t.hole_timer <- None;
-             flush_hole t timeout))
+      Simulator.schedule_after t.sim ~delay:timeout.hole_timeout t.hole_fn
 
 (* The missing frame is not coming (discarded by the peer): skip to
    the earliest buffered frame and continue from there. *)
-and flush_hole t timeout =
+let on_hole_timeout t timeout =
+  t.hole_timer <- Simulator.null_event;
   if Hashtbl.length t.buffer > 0 then begin
-    let next =
-      Hashtbl.fold (fun seq _ acc -> Stdlib.min seq acc) t.buffer max_int
-    in
+    let next = Hashtbl.fold (fun seq _ acc -> Int.min seq acc) t.buffer max_int in
     t.hole_count <- t.hole_count + 1;
     t.expected <- next;
     drain t;
     arm_hole_timer t timeout
   end
+
+let create sim ?send_ack ?on_link_ack ?resequence ?(dedup = false) ~deliver
+    () =
+  let t =
+    {
+      sim;
+      send_ack;
+      on_link_ack;
+      resequence;
+      dedup;
+      seen = Array.make 8 0;
+      deliver;
+      buffer = Hashtbl.create 32;
+      expected = 0;
+      hole_timer = Simulator.null_event;
+      hole_fn = ignore;
+      received_count = 0;
+      duplicate_count = 0;
+      ack_count = 0;
+      resequenced_count = 0;
+      hole_count = 0;
+      straggler_count = 0;
+    }
+  in
+  (match resequence with
+  | Some timeout -> t.hole_fn <- (fun () -> on_hole_timeout t timeout)
+  | None -> ());
+  t
 
 let receive_in_order t frame =
   match t.resequence with
@@ -145,7 +146,7 @@ let receive_in_order t frame =
       end
       else begin
         Hashtbl.replace t.buffer seq frame.Frame.payload;
-        if (match t.hole_timer with None -> true | Some _ -> false) then
+        if not (Simulator.is_pending t.sim t.hole_timer) then
           arm_hole_timer t timeout
       end
     end

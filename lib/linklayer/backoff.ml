@@ -11,7 +11,7 @@ let window policy ~attempt =
   | Binary_exponential { base; cap } ->
     let scaled =
       (* Saturating doubling; attempts are small (<= RTmax = 13). *)
-      Simtime.span_scale base (Float.of_int (1 lsl Stdlib.min 20 (attempt - 1)))
+      Simtime.span_scale base (Float.of_int (1 lsl Int.min 20 (attempt - 1)))
     in
     Simtime.span_min scaled cap
 

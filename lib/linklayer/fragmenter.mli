@@ -14,3 +14,9 @@ val split : mtu:int -> Netsim.Packet.t -> Frame.payload list
     [Whole] when the packet fits in the MTU, otherwise [Fragment]s
     whose byte counts sum to the packet size, all but the last equal
     to [mtu].  @raise Invalid_argument if [mtu <= 0]. *)
+
+val nth : mtu:int -> Netsim.Packet.t -> count:int -> int -> Frame.payload
+(** [nth ~mtu pkt ~count index] is element [index] of
+    [split ~mtu pkt], where [count = fragment_count ~mtu pkt], without
+    building the list: the per-packet send path loops over the
+    indices. *)

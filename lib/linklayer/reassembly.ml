@@ -5,7 +5,8 @@ type entry = {
   count : int;
   mutable seen : bool array;
   mutable seen_count : int;
-  mutable purge : Simulator.event option;
+  mutable purge : Simulator.event;  (* [Simulator.null_event] when none *)
+  purge_fn : unit -> unit;  (* one closure per partial packet, re-armed per fragment *)
 }
 
 type stats = {
@@ -40,21 +41,18 @@ let deliver_packet t pkt =
   t.deliver pkt
 
 let cancel_purge t entry =
-  match entry.purge with
-  | None -> ()
-  | Some ev ->
-    Simulator.cancel t.sim ev;
-    entry.purge <- None
+  Simulator.cancel t.sim entry.purge;
+  entry.purge <- Simulator.null_event
 
-let arm_purge t key entry =
+let arm_purge t entry =
   cancel_purge t entry;
-  entry.purge <-
-    Some
-      (Simulator.schedule_after t.sim ~delay:t.timeout (fun () ->
-           if Hashtbl.mem t.partial key then begin
-             Hashtbl.remove t.partial key;
-             t.failure_count <- t.failure_count + 1
-           end))
+  entry.purge <- Simulator.schedule_after t.sim ~delay:t.timeout entry.purge_fn
+
+let purge t key () =
+  if Hashtbl.mem t.partial key then begin
+    Hashtbl.remove t.partial key;
+    t.failure_count <- t.failure_count + 1
+  end
 
 let receive t payload =
   match payload with
@@ -63,16 +61,17 @@ let receive t payload =
   | Frame.Fragment { packet; index; count; bytes = _ } ->
     let key = packet.Netsim.Packet.id in
     let entry =
-      match Hashtbl.find_opt t.partial key with
-      | Some e -> e
-      | None ->
+      match Hashtbl.find t.partial key with
+      | e -> e
+      | exception Not_found ->
         let e =
           {
             packet;
             count;
             seen = Array.make count false;
             seen_count = 0;
-            purge = None;
+            purge = Simulator.null_event;
+            purge_fn = purge t key;
           }
         in
         Hashtbl.replace t.partial key e;
@@ -87,7 +86,7 @@ let receive t payload =
         Hashtbl.remove t.partial key;
         deliver_packet t entry.packet
       end
-      else arm_purge t key entry
+      else arm_purge t entry
     end
 
 let pending t = Hashtbl.length t.partial

@@ -1,39 +1,39 @@
 type policy = Fifo | Round_robin
 
-(* A deque with a bounded tail: [front] holds re-queued items (never
-   dropped), [back] is the bounded arrival queue. *)
+(* A ring with a bounded tail: the first [requeued] items were put
+   back at the head by [push_front] and are never dropped; the rest are
+   arrivals, bounded by the capacity. *)
 type 'a lane = {
-  mutable front : 'a list;
-  back : 'a Queue.t;
+  items : 'a Netsim.Ring.t;
+  mutable requeued : int;
   mutable drop_count : int;
 }
 
-let lane_create () = { front = []; back = Queue.create (); drop_count = 0 }
-let lane_length lane = List.length lane.front + Queue.length lane.back
+let lane_create () = { items = Netsim.Ring.create (); requeued = 0; drop_count = 0 }
+let lane_length lane = Netsim.Ring.length lane.items
 
 let lane_push lane ~capacity item =
-  if Queue.length lane.back >= capacity then begin
+  if Netsim.Ring.length lane.items - lane.requeued >= capacity then begin
     lane.drop_count <- lane.drop_count + 1;
     false
   end
   else begin
-    Queue.add item lane.back;
+    Netsim.Ring.push lane.items item;
     true
   end
 
-let lane_push_front lane item = lane.front <- item :: lane.front
+let lane_push_front lane item =
+  Netsim.Ring.push_front lane.items item;
+  lane.requeued <- lane.requeued + 1
 
 let lane_pop lane =
-  match lane.front with
-  | item :: rest ->
-    lane.front <- rest;
-    Some item
-  | [] -> Queue.take_opt lane.back
+  if lane.requeued > 0 then lane.requeued <- lane.requeued - 1;
+  Netsim.Ring.pop lane.items
 
 type 'a t = {
   pol : policy;
   capacity : int;
-  fifo : (int * 'a) lane;
+  fifo : 'a lane;
   per_conn : (int, 'a lane) Hashtbl.t;
   mutable rotation : int list;  (* round-robin order, head is next *)
 }
@@ -61,12 +61,12 @@ let conn_lane t conn =
 
 let push t ~conn item =
   match t.pol with
-  | Fifo -> lane_push t.fifo ~capacity:t.capacity (conn, item)
+  | Fifo -> lane_push t.fifo ~capacity:t.capacity item
   | Round_robin -> lane_push (conn_lane t conn) ~capacity:t.capacity item
 
 let push_front t ~conn item =
   match t.pol with
-  | Fifo -> lane_push_front t.fifo (conn, item)
+  | Fifo -> lane_push_front t.fifo item
   | Round_robin -> lane_push_front (conn_lane t conn) item
 
 let pop t =
@@ -77,14 +77,14 @@ let pop t =
        connection moves to the back. *)
     let rec scan remaining rot =
       match rot, remaining with
-      | _, 0 | [], _ -> None
-      | conn :: rest, _ -> (
+      | _, 0 | [], _ -> invalid_arg "Sched.pop: empty"
+      | conn :: rest, _ ->
         let lane = Hashtbl.find t.per_conn conn in
-        match lane_pop lane with
-        | Some item ->
+        if lane_length lane > 0 then begin
           t.rotation <- rest @ [ conn ];
-          Some (conn, item)
-        | None -> scan (remaining - 1) (rest @ [ conn ]))
+          lane_pop lane
+        end
+        else scan (remaining - 1) (rest @ [ conn ])
     in
     scan (List.length t.rotation) t.rotation
 
@@ -104,8 +104,8 @@ let drops t =
 
 let lane_clear lane =
   let n = lane_length lane in
-  lane.front <- [];
-  Queue.clear lane.back;
+  Netsim.Ring.clear lane.items;
+  lane.requeued <- 0;
   n
 
 let clear t =

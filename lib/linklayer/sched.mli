@@ -29,8 +29,9 @@ val push_front : 'a t -> conn:int -> 'a -> unit
     backing-off frame is deferred in favour of other traffic).  Never
     drops. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Next item to serve, with its connection. *)
+val pop : 'a t -> 'a
+(** Remove and return the next item to serve.
+    @raise Invalid_argument if nothing is queued (see {!is_empty}). *)
 
 val length : 'a t -> int
 (** Total queued items. *)

@@ -58,7 +58,7 @@ type t = {
   (* Frames in propagation.  The delay is constant and serialisation
      end times strictly increase, so deliveries happen in FIFO order:
      one shared closure pops the oldest frame. *)
-  prop_frames : Frame.t Queue.t;
+  prop_frames : Frame.t Ring.t;
   mutable prop_fn : unit -> unit;
   mutable frames_sent : int;
   mutable air_bytes_total : int;
@@ -74,6 +74,9 @@ type t = {
 let dummy_frame = Frame.{ seq = -1; payload = Link_ack { acked_seq = -1 } }
 
 let set_receiver t f = t.receiver <- Some f
+
+(* Each monitor site matches on [monitor] before it builds its event,
+   so a link nobody monitors allocates no event per frame. *)
 let set_monitor t f = t.monitor <- Some f
 let set_on_frame_sent t f = t.on_frame_sent <- Some f
 
@@ -96,9 +99,6 @@ let set_trace t tr =
 let trace_frame t ev frame =
   Obs.Trace.emit1 ev ~t_ns:(Simtime.to_ns (Simulator.now t.sim)) frame.Frame.seq
 
-let notify t event =
-  match t.monitor with Some f -> f event | None -> ()
-
 let air_bytes_of t frame =
   int_of_float (Float.round (t.cfg.overhead_factor *. float_of_int (Frame.bytes frame)))
 
@@ -111,17 +111,17 @@ let deliver t frame =
   | Some f ->
     t.frames_delivered <- t.frames_delivered + 1;
     (match t.trace with Some e -> trace_frame t e.delivered frame | None -> ());
-    notify t (Delivered frame);
+    (match t.monitor with Some m -> m (Delivered frame) | None -> ());
     f frame
 
 let propagated t =
   t.in_propagation <- t.in_propagation - 1;
-  deliver t (Queue.pop t.prop_frames)
+  deliver t (Ring.pop t.prop_frames)
 
 let rec transmit t frame =
   t.transmitting <- true;
   (match t.trace with Some e -> trace_frame t e.tx_start frame | None -> ());
-  notify t (Tx_start frame);
+  (match t.monitor with Some m -> m (Tx_start frame) | None -> ());
   let air = air_bytes_of t frame in
   t.tx_frame <- frame;
   t.tx_start <- Simulator.now t.sim;
@@ -155,21 +155,20 @@ and finish t =
   if blackholed then begin
     t.frames_blackholed <- t.frames_blackholed + 1;
     (match t.trace with Some e -> trace_frame t e.blackholed frame | None -> ());
-    notify t (Lost frame)
+    (match t.monitor with Some m -> m (Lost frame) | None -> ())
   end
   else if lost then begin
     t.frames_lost <- t.frames_lost + 1;
     (match t.trace with Some e -> trace_frame t e.lost frame | None -> ());
-    notify t (Lost frame)
+    (match t.monitor with Some m -> m (Lost frame) | None -> ())
   end
   else begin
     t.in_propagation <- t.in_propagation + 1;
-    Queue.push frame t.prop_frames;
+    Ring.push t.prop_frames frame;
     ignore (Simulator.schedule_after t.sim ~delay:t.cfg.delay t.prop_fn)
   end;
-  match Queue_drop_tail.dequeue t.queue with
-  | Some next -> transmit t next
-  | None -> t.transmitting <- false
+  if Queue_drop_tail.is_empty t.queue then t.transmitting <- false
+  else transmit t (Queue_drop_tail.dequeue t.queue)
 
 (* Defined after the [transmit]/[finish] chain so the two shared
    closures can be bound exactly once per link. *)
@@ -193,7 +192,7 @@ let create sim ~name ~config ~channel_for ~queue_capacity =
       tx_air_bytes = 0;
       tx_airtime = Simtime.span_zero;
       finish_fn = ignore;
-      prop_frames = Queue.create ();
+      prop_frames = Ring.create ();
       prop_fn = ignore;
       frames_sent = 0;
       air_bytes_total = 0;
@@ -216,10 +215,11 @@ let send t frame =
   | Some _ -> ());
   t.accepted <- t.accepted + 1;
   if t.transmitting then begin
-    if Queue_drop_tail.enqueue t.queue frame then notify t (Enqueued frame)
+    if Queue_drop_tail.enqueue t.queue frame then
+      (match t.monitor with Some m -> m (Enqueued frame) | None -> ())
     else begin
       (match t.trace with Some e -> trace_frame t e.dropped frame | None -> ());
-      notify t (Dropped frame)
+      match t.monitor with Some m -> m (Dropped frame) | None -> ()
     end
   end
   else transmit t frame

@@ -30,7 +30,7 @@ type t = {
   (* Packets in propagation.  Constant delay and strictly increasing
      serialisation end times mean FIFO delivery: one shared closure
      pops the oldest. *)
-  prop_packets : Packet.t Queue.t;
+  prop_packets : Packet.t Ring.t;
   mutable prop_fn : unit -> unit;
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -42,24 +42,24 @@ let dummy_packet =
     ~kind:(Packet.Ebsn { conn = 0 }) ~header_bytes:0 ~created:Simtime.zero
 
 let set_receiver t f = t.receiver <- Some f
-let set_monitor t f = t.monitor <- Some f
 
-let notify t event =
-  match t.monitor with Some f -> f event | None -> ()
+(* Each monitor site matches on [monitor] before it builds its event,
+   so a link nobody monitors allocates no event per packet. *)
+let set_monitor t f = t.monitor <- Some f
 
 let deliver t pkt =
   match t.receiver with
   | None -> failwith ("Link " ^ t.link_name ^ ": no receiver installed")
   | Some f ->
     t.delivered <- t.delivered + 1;
-    notify t (Delivered pkt);
+    (match t.monitor with Some m -> m (Delivered pkt) | None -> ());
     f pkt
 
-let propagated t = deliver t (Queue.pop t.prop_packets)
+let propagated t = deliver t (Ring.pop t.prop_packets)
 
 let rec transmit t pkt =
   t.transmitting <- true;
-  notify t (Tx_start pkt);
+  (match t.monitor with Some m -> m (Tx_start pkt) | None -> ());
   let bits = Units.bits_of_bytes (Packet.size pkt) in
   let tx = Units.tx_time ~bits t.link_bandwidth in
   t.tx_current <- pkt;
@@ -69,13 +69,13 @@ and finish t =
   let pkt = t.tx_current in
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + Packet.size pkt;
-  Queue.push pkt t.prop_packets;
+  Ring.push t.prop_packets pkt;
   ignore (Simulator.schedule_after t.sim ~delay:t.link_delay t.prop_fn);
-  match Queue_drop_tail.dequeue t.queue with
-  | Some next -> transmit t next
-  | None ->
+  if Queue_drop_tail.is_empty t.queue then begin
     t.transmitting <- false;
     t.tx_current <- dummy_packet
+  end
+  else transmit t (Queue_drop_tail.dequeue t.queue)
 
 (* Defined after [transmit]/[finish] so the shared closures bind once. *)
 let create sim ~name ~bandwidth ~delay ~queue_capacity =
@@ -91,7 +91,7 @@ let create sim ~name ~bandwidth ~delay ~queue_capacity =
       transmitting = false;
       tx_current = dummy_packet;
       finish_fn = ignore;
-      prop_packets = Queue.create ();
+      prop_packets = Ring.create ();
       prop_fn = ignore;
       tx_packets = 0;
       tx_bytes = 0;
@@ -107,8 +107,10 @@ let send t pkt =
   | None -> failwith ("Link " ^ t.link_name ^ ": no receiver installed")
   | Some _ -> ());
   if t.transmitting then begin
-    if Queue_drop_tail.enqueue t.queue pkt then notify t (Enqueued pkt)
-    else notify t (Dropped pkt)
+    let queued = Queue_drop_tail.enqueue t.queue pkt in
+    match t.monitor with
+    | None -> ()
+    | Some m -> m (if queued then Enqueued pkt else Dropped pkt)
   end
   else transmit t pkt
 

@@ -32,12 +32,12 @@ let set_local_handler t f = t.local_handler <- Some f
 let set_forward_hook t f = t.forward_hook <- Some f
 
 let send t pkt =
-  match Hashtbl.find_opt t.routes (Address.to_int pkt.Packet.dst) with
-  | None ->
+  match Hashtbl.find t.routes (Address.to_int pkt.Packet.dst) with
+  | exception Not_found ->
     failwith
       (Format.asprintf "Node %s: no route to %a" t.node_name Address.pp
          pkt.Packet.dst)
-  | Some via -> via pkt
+  | via -> via pkt
 
 let receive t pkt =
   if Address.equal pkt.Packet.dst t.node_addr then begin

@@ -1,44 +1,37 @@
 type 'a t = {
   mutable capacity : int;
-  items : 'a Queue.t;
+  items : 'a Ring.t;
   mutable drop_count : int;
   mutable peak : int;
 }
 
 let create ~capacity () =
   if capacity <= 0 then invalid_arg "Queue_drop_tail.create: capacity <= 0";
-  { capacity; items = Queue.create (); drop_count = 0; peak = 0 }
+  { capacity; items = Ring.create (); drop_count = 0; peak = 0 }
 
 let capacity t = t.capacity
 
 let set_capacity t capacity =
   if capacity <= 0 then invalid_arg "Queue_drop_tail.set_capacity: capacity <= 0";
   t.capacity <- capacity
-let length t = Queue.length t.items
-let is_empty t = Queue.is_empty t.items
+let length t = Ring.length t.items
+let is_empty t = Ring.is_empty t.items
 
 let enqueue t x =
-  if Queue.length t.items >= t.capacity then begin
+  if Ring.length t.items >= t.capacity then begin
     t.drop_count <- t.drop_count + 1;
     false
   end
   else begin
-    Queue.add x t.items;
-    t.peak <- Stdlib.max t.peak (Queue.length t.items);
+    Ring.push t.items x;
+    t.peak <- Int.max t.peak (Ring.length t.items);
     true
   end
 
-let dequeue t = Queue.take_opt t.items
-let peek t = Queue.peek_opt t.items
+let dequeue t = Ring.pop t.items
+let peek t = if Ring.is_empty t.items then None else Some (Ring.peek t.items)
 let drops t = t.drop_count
 let peak_length t = t.peak
-let clear t = Queue.clear t.items
-let iter f t = Queue.iter f t.items
-
-let filter_in_place keep t =
-  let kept = Queue.create () in
-  let removed = ref 0 in
-  Queue.iter (fun x -> if keep x then Queue.add x kept else incr removed) t.items;
-  Queue.clear t.items;
-  Queue.transfer kept t.items;
-  !removed
+let clear t = Ring.clear t.items
+let iter f t = Ring.iter f t.items
+let filter_in_place keep t = Ring.filter_in_place keep t.items

@@ -30,8 +30,9 @@ val enqueue : 'a t -> 'a -> bool
 (** Append an element.  Returns [false] (and counts a drop) if the
     queue is full. *)
 
-val dequeue : 'a t -> 'a option
-(** Remove the oldest element. *)
+val dequeue : 'a t -> 'a
+(** Remove the oldest element.
+    @raise Invalid_argument if the queue is empty. *)
 
 val peek : 'a t -> 'a option
 (** The oldest element without removing it. *)

@@ -48,26 +48,32 @@ let initial_state (cfg : Tcp_config.t) =
   }
 
 let effective_window host =
-  Stdlib.min (int_of_float host.state.cwnd) host.cfg.Tcp_config.window
+  Int.min (int_of_float host.state.cwnd) host.cfg.Tcp_config.window
 
 let flight_bytes host =
-  Stdlib.min (effective_window host) (host.snd_nxt () - host.snd_una ())
+  Int.min (effective_window host) (host.snd_nxt () - host.snd_una ())
 
 let set_loss_threshold host =
   host.state.ssthresh <-
-    Stdlib.max (2 * host.cfg.Tcp_config.mss) (flight_bytes host / 2)
+    Int.max (2 * host.cfg.Tcp_config.mss) (flight_bytes host / 2)
 
 (* The float operation order below is load-bearing: the byte-identity
    gate (bench [cc]/[engine] targets) pins Tahoe-via-Cc to the
    pre-refactor packet schedule, and changing the order of the
-   additions changes rounding. *)
+   additions changes rounding.  The grown window is computed once and
+   stored once: each store into [cwnd] boxes a float. *)
 let grow_cwnd host =
   let st = host.state in
   let mss = float_of_int host.cfg.Tcp_config.mss in
-  if st.cwnd < float_of_int st.ssthresh then st.cwnd <- st.cwnd +. mss
-  else st.cwnd <- st.cwnd +. (mss *. mss /. st.cwnd);
-  (* No point growing past what the receiver will ever grant. *)
-  st.cwnd <- Stdlib.min st.cwnd (float_of_int (4 * host.cfg.Tcp_config.window))
+  let grown =
+    if st.cwnd < float_of_int st.ssthresh then st.cwnd +. mss
+    else st.cwnd +. (mss *. mss /. st.cwnd)
+  in
+  (* No point growing past what the receiver will ever grant.
+     [Stdlib.min]'s own definition, written out so no float is boxed
+     for a generic compare. *)
+  let cap = float_of_int (4 * host.cfg.Tcp_config.window) in
+  st.cwnd <- (if grown <= cap then grown else cap)
 
 (* Tahoe loss reaction: ssthresh to half the flight, window to one
    segment, go-back-N from the last cumulative ack. *)

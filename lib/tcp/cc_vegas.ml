@@ -46,9 +46,12 @@ let make (host : Cc.host) =
     v.epoch_samples <- 0;
     v.epoch_end <- host.Cc.snd_nxt ()
   in
+  (* The float [min] and [max] below are [Stdlib.min] and
+     [Stdlib.max]'s own definitions, written out so no float is boxed
+     for a generic compare. *)
   let cap () =
-    st.Cc.cwnd <-
-      Stdlib.min st.Cc.cwnd (float_of_int (4 * cfg.Tcp_config.window))
+    let limit = float_of_int (4 * cfg.Tcp_config.window) in
+    if not (st.Cc.cwnd <= limit) then st.Cc.cwnd <- limit
   in
   let adjust () =
     (if v.epoch_samples > 0 && v.base_rtt_ns < max_int then begin
@@ -60,7 +63,7 @@ let make (host : Cc.host) =
          if diff > float_of_int cfg.Tcp_config.vegas_gamma then
            (* Queue building already: leave slow start here. *)
            st.Cc.ssthresh <-
-             Stdlib.max (2 * cfg.Tcp_config.mss) (int_of_float st.Cc.cwnd)
+             Int.max (2 * cfg.Tcp_config.mss) (int_of_float st.Cc.cwnd)
          else begin
            if v.grow_toggle then st.Cc.cwnd <- st.Cc.cwnd *. 2.0;
            v.grow_toggle <- not v.grow_toggle
@@ -68,9 +71,10 @@ let make (host : Cc.host) =
        end
        else if diff < float_of_int cfg.Tcp_config.vegas_alpha then
          st.Cc.cwnd <- st.Cc.cwnd +. mssf
-       else if diff > float_of_int cfg.Tcp_config.vegas_beta then
-         st.Cc.cwnd <-
-           Stdlib.max (2.0 *. mssf) (st.Cc.cwnd -. mssf)
+       else if diff > float_of_int cfg.Tcp_config.vegas_beta then begin
+         let least = 2.0 *. mssf and shrunk = st.Cc.cwnd -. mssf in
+         st.Cc.cwnd <- (if least >= shrunk then least else shrunk)
+       end
      end
      else if st.Cc.cwnd < float_of_int st.Cc.ssthresh then begin
        (* An epoch with no usable RTT sample (retransmissions, Karn):

@@ -38,13 +38,15 @@ let sample t ~rtt_ticks =
   end;
   t.sample_count <- t.sample_count + 1
 
-let backoff t = t.multiplier <- Stdlib.min t.max_backoff (t.multiplier * 2)
+let backoff t = t.multiplier <- Int.min t.max_backoff (t.multiplier * 2)
 let reset_backoff t = t.multiplier <- 1
 
 let base_ticks t =
   if t.sample_count = 0 then t.initial_ticks
   else
-    let raw = t.srtt +. Stdlib.max 1.0 (4.0 *. t.rttvar) in
+    (* [Stdlib.max 1.0 spread], written out so no float is boxed. *)
+    let spread = 4.0 *. t.rttvar in
+    let raw = t.srtt +. (if 1.0 >= spread then 1.0 else spread) in
     int_of_float (Float.round raw)
 
 (* Backoff first, clamp second — the order matters and matches BSD 4.4:
@@ -56,7 +58,7 @@ let base_ticks t =
    timer semantics; pinned by the backoff/clamp property test. *)
 let current_ticks t =
   let ticks = base_ticks t * t.multiplier in
-  Stdlib.max t.min_ticks (Stdlib.min t.max_ticks ticks)
+  Int.max t.min_ticks (Int.min t.max_ticks ticks)
 
 let srtt_ticks t = t.srtt
 let rttvar_ticks t = t.rttvar

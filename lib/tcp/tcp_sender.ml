@@ -38,7 +38,10 @@ type t = {
   mutable available : int;  (* bytes [0, available) exist at the application *)
   mutable sacked : (int * int) list;  (* receiver-reported blocks, merged *)
   mutable hole_cursor : int;  (* next byte to consider for hole retransmission *)
-  mutable timing : (int * Simtime.t) option;  (* (first byte, send time) *)
+  (* The segment being timed for an RTT sample: its first byte, or
+     [no_timing], and its send time. *)
+  mutable timing_seq : int;
+  mutable timing_sent : Simtime.t;
   timer : Soft_timer.t;  (* retransmission timer; restarts fuse, cancels are lazy *)
   timer_counters : Soft_timer.counters;
   mutable timer_ticks : int;  (* duration the pending timer was armed with *)
@@ -76,6 +79,7 @@ let set_obs t ~trace ~metrics =
   t.cwnd_hist <- Obs.Registry.histogram metrics "tcp.cwnd_bytes"
 
 let now_ns t = Simtime.to_ns (Simulator.now t.sim)
+let no_timing = -1
 
 let set_on_complete t f = t.on_complete <- Some f
 let set_on_send t f = t.on_send <- Some f
@@ -114,8 +118,7 @@ let rec arm_timer t ~ticks =
   t.timer_ticks <- ticks;
   Soft_timer.arm_after t.timer ~delay
 
-and effective_window t =
-  Stdlib.min (int_of_float t.cc_state.Cc.cwnd) t.cfg.window
+and effective_window t = Int.min (int_of_float t.cc_state.Cc.cwnd) t.cfg.window
 
 and emit_segment t ~seq ~len =
   let is_retransmit = seq < t.max_sent in
@@ -134,13 +137,13 @@ and emit_segment t ~seq ~len =
     t.stats.Tcp_stats.bytes_retransmitted <-
       t.stats.Tcp_stats.bytes_retransmitted + len;
     (* Karn: a retransmitted segment must not produce an RTT sample. *)
-    match t.timing with
-    | Some (timed_seq, _) when timed_seq >= seq -> t.timing <- None
-    | Some _ | None -> ()
+    if t.timing_seq <> no_timing && t.timing_seq >= seq then
+      t.timing_seq <- no_timing
   end
-  else if
-    match t.timing with None -> true | Some _ -> false
-  then t.timing <- Some (seq, Simulator.now t.sim);
+  else if t.timing_seq = no_timing then begin
+    t.timing_seq <- seq;
+    t.timing_sent <- Simulator.now t.sim
+  end;
   Obs.Registry.observe t.cwnd_hist t.cc_state.Cc.cwnd;
   (match t.trace with
   | Some e ->
@@ -154,16 +157,14 @@ and emit_segment t ~seq ~len =
 
 and send_window t =
   let limit =
-    Stdlib.min
-      (Stdlib.min (t.snd_una + effective_window t) t.total)
-      t.available
+    Int.min (Int.min (t.snd_una + effective_window t) t.total) t.available
   in
   let progressed = ref false in
   while t.snd_nxt < limit do
-    let len = Stdlib.min t.cfg.mss (limit - t.snd_nxt) in
+    let len = Int.min t.cfg.mss (limit - t.snd_nxt) in
     emit_segment t ~seq:t.snd_nxt ~len;
     t.snd_nxt <- t.snd_nxt + len;
-    t.max_sent <- Stdlib.max t.max_sent t.snd_nxt;
+    t.max_sent <- Int.max t.max_sent t.snd_nxt;
     progressed := true
   done;
   if !progressed && not (timer_pending t) then
@@ -276,7 +277,8 @@ let create sim ~config ~conn ~src ~dst ~total_bytes ~alloc_id ~transmit =
       available = total_bytes;
       sacked = [];
       hole_cursor = 0;
-      timing = None;
+      timing_seq = no_timing;
+      timing_sent = Simtime.zero;
       timer = Soft_timer.create sim ~counters:timer_counters ignore;
       timer_counters;
       timer_ticks = 0;
@@ -303,7 +305,7 @@ let create sim ~config ~conn ~src ~dst ~total_bytes ~alloc_id ~transmit =
       emit_segment = (fun ~seq ~len -> emit_segment t ~seq ~len);
       send_window = (fun () -> send_window t);
       arm_rto = (fun () -> arm_timer t ~ticks:(Rto.current_ticks t.rto_state));
-      clear_timing = (fun () -> t.timing <- None);
+      clear_timing = (fun () -> t.timing_seq <- no_timing);
       clear_scoreboard = (fun () -> t.sacked <- []);
       prune_scoreboard =
         (fun ~ack ->
@@ -337,18 +339,17 @@ let handle_ack ?(sack = []) t ~ack =
     if t.policy.Cc.uses_scoreboard then record_sack t sack;
     if ack > t.snd_una then begin
       t.stats.Tcp_stats.acks_received <- t.stats.Tcp_stats.acks_received + 1;
-      (match t.timing with
-      | Some (seq, sent_at) when ack > seq ->
+      if t.timing_seq <> no_timing && ack > t.timing_seq then begin
         let rtt_ns =
-          Simtime.span_to_ns (Simtime.diff (Simulator.now t.sim) sent_at)
+          Simtime.span_to_ns (Simtime.diff (Simulator.now t.sim) t.timing_sent)
         in
         let rtt_ticks = 1 + (rtt_ns / Simtime.span_to_ns t.cfg.tick) in
         Rto.sample t.rto_state ~rtt_ticks;
         Obs.Registry.observe t.rtt_hist (float_of_int rtt_ticks);
         t.stats.Tcp_stats.rtt_samples <- t.stats.Tcp_stats.rtt_samples + 1;
-        t.timing <- None;
+        t.timing_seq <- no_timing;
         t.policy.Cc.on_rtt_sample ~rtt_ticks ~rtt_ns
-      | Some _ | None -> ());
+      end;
       Rto.reset_backoff t.rto_state;
       t.cc_state.Cc.dupacks <- 0;
       t.policy.Cc.on_new_ack ~ack;
@@ -382,7 +383,7 @@ let handle_ebsn t =
     in
     (* Clamp: repeated scaling must not compound past the RTO bounds. *)
     let ticks =
-      Stdlib.max t.cfg.min_rto_ticks (Stdlib.min t.cfg.max_rto_ticks scaled)
+      Int.max t.cfg.min_rto_ticks (Int.min t.cfg.max_rto_ticks scaled)
     in
     (match t.trace with
     | Some e -> Obs.Trace.emit1 e.ebsn_rearm ~t_ns:(now_ns t) ticks

@@ -26,30 +26,9 @@ type t = {
   mutable finish_time : Simtime.t option;
   mutable on_complete : (unit -> unit) option;
   mutable ack_pending : bool;  (* delayed-ack: one unacked segment held *)
-  mutable delack_timer : Simulator.event option;
+  mutable delack_timer : Simulator.event;  (* [Simulator.null_event] when none *)
+  mutable delack_fn : unit -> unit;  (* the delayed-ack timer's one closure *)
 }
-
-let create sim ~config ~conn ~addr ~peer ~expected_bytes ~alloc_id ~transmit =
-  if expected_bytes <= 0 then invalid_arg "Tcp_sink.create: nothing expected";
-  {
-    sim;
-    cfg = config;
-    conn;
-    addr;
-    peer;
-    expected = expected_bytes;
-    alloc_id;
-    transmit;
-    next_byte = 0;
-    buffered = [];
-    received_count = 0;
-    duplicate_count = 0;
-    ack_count = 0;
-    finish_time = None;
-    on_complete = None;
-    ack_pending = false;
-    delack_timer = None;
-  }
 
 let set_on_complete t f = t.on_complete <- Some f
 let rcv_nxt t = t.next_byte
@@ -70,17 +49,14 @@ let rec insert_range ranges (start, stop) =
 let rec drain t =
   match t.buffered with
   | (s, e) :: rest when s <= t.next_byte ->
-    t.next_byte <- Stdlib.max t.next_byte e;
+    t.next_byte <- Int.max t.next_byte e;
     t.buffered <- rest;
     drain t
   | _ -> ()
 
 let cancel_delack t =
-  match t.delack_timer with
-  | None -> ()
-  | Some ev ->
-    Simulator.cancel t.sim ev;
-    t.delack_timer <- None
+  Simulator.cancel t.sim t.delack_timer;
+  t.delack_timer <- Simulator.null_event
 
 (* RFC 2018: report up to three out-of-order blocks so a SACK sender
    can retransmit holes only.  We report the lowest blocks (the ones
@@ -101,6 +77,37 @@ let send_ack t =
   t.ack_count <- t.ack_count + 1;
   t.transmit pkt
 
+let on_delack_timeout t =
+  t.delack_timer <- Simulator.null_event;
+  if t.ack_pending then send_ack t
+
+let create sim ~config ~conn ~addr ~peer ~expected_bytes ~alloc_id ~transmit =
+  if expected_bytes <= 0 then invalid_arg "Tcp_sink.create: nothing expected";
+  let t =
+    {
+      sim;
+      cfg = config;
+      conn;
+      addr;
+      peer;
+      expected = expected_bytes;
+      alloc_id;
+      transmit;
+      next_byte = 0;
+      buffered = [];
+      received_count = 0;
+      duplicate_count = 0;
+      ack_count = 0;
+      finish_time = None;
+      on_complete = None;
+      ack_pending = false;
+      delack_timer = Simulator.null_event;
+      delack_fn = ignore;
+    }
+  in
+  t.delack_fn <- (fun () -> on_delack_timeout t);
+  t
+
 let mark_complete t =
   match t.finish_time with
   | Some _ -> ()
@@ -116,7 +123,7 @@ let handle_data t ~seq ~length =
   else begin
     t.received_count <- t.received_count + 1;
     if seq <= t.next_byte then begin
-      t.next_byte <- Stdlib.max t.next_byte stop;
+      t.next_byte <- Int.max t.next_byte stop;
       drain t
     end
     else t.buffered <- insert_range t.buffered (seq, stop)
@@ -136,11 +143,8 @@ let handle_data t ~seq ~length =
     else begin
       t.ack_pending <- true;
       t.delack_timer <-
-        Some
-          (Simulator.schedule_after t.sim
-             ~delay:t.cfg.Tcp_config.delayed_ack_timeout (fun () ->
-               t.delack_timer <- None;
-               if t.ack_pending then send_ack t))
+        Simulator.schedule_after t.sim
+          ~delay:t.cfg.Tcp_config.delayed_ack_timeout t.delack_fn
     end
   end
   else send_ack t

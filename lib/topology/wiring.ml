@@ -160,25 +160,25 @@ let run ?obs ?faults (scenario : Scenario.t) =
     (fun arq -> Arq.set_obs arq ~trace:obs_trace ~metrics:registry)
     uplink_arq;
 
-  let fragment (w : Scenario.wireless) pkt =
-    match w.mtu with
-    | Some mtu -> Fragmenter.split ~mtu pkt
-    | None -> [ Frame.Whole pkt ]
-  in
+  (* Per packet: a loop over the fragment indices, so no payload list
+     or iterator closure is built. *)
   let send_frames link arq pkt =
-    let payloads = fragment scenario.wireless pkt in
-    match arq with
-    | Some arq ->
-      List.iter
-        (fun payload ->
-          ignore (Arq.send arq ~conn:(Packet.conn pkt) payload))
-        payloads
-    | None ->
-      List.iter
-        (fun payload ->
-          Wireless_link.send link
-            Frame.{ seq = Ids.next frame_ids; payload })
-        payloads
+    let count =
+      match scenario.wireless.mtu with
+      | Some mtu -> Fragmenter.fragment_count ~mtu pkt
+      | None -> 1
+    in
+    for index = 0 to count - 1 do
+      let payload =
+        match scenario.wireless.mtu with
+        | Some mtu -> Fragmenter.nth ~mtu pkt ~count index
+        | None -> Frame.Whole pkt
+      in
+      match arq with
+      | Some arq -> ignore (Arq.send arq ~conn:(Packet.conn pkt) payload)
+      | None ->
+        Wireless_link.send link Frame.{ seq = Ids.next frame_ids; payload }
+    done
   in
   let downlink_send pkt = send_frames downlink downlink_arq pkt in
   let uplink_send pkt = send_frames uplink uplink_arq pkt in

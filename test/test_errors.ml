@@ -147,7 +147,12 @@ let prop_weighted_seconds_matches_fold =
       and bad = float_of_int b_i *. 1.92 in
       let start = at (start_ms * 1_000_000) in
       let stop = Simtime.add start (Simtime.span_ms len_ms) in
-      let walked = State_timeline.weighted_seconds tl ~start ~stop ~good ~bad in
+      let weighted_seconds ~start ~stop =
+        let w = { State_timeline.good; bad; sum = nan } in
+        State_timeline.weigh tl w ~start ~stop;
+        w.State_timeline.sum
+      in
+      let walked = weighted_seconds ~start ~stop in
       let folded =
         List.fold_left
           (fun acc (state, d) ->
@@ -160,8 +165,7 @@ let prop_weighted_seconds_matches_fold =
           0.0
           (State_timeline.segments tl ~start ~stop)
       in
-      walked = folded
-      && State_timeline.weighted_seconds tl ~start ~stop:start ~good ~bad = 0.0)
+      walked = folded && weighted_seconds ~start ~stop:start = 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Channel wrappers                                                    *)
@@ -316,6 +320,38 @@ let test_loss_probability () =
     (Loss.loss_probability ~expected:0.0);
   Alcotest.(check bool) "huge expected ~1" true
     (Loss.loss_probability ~expected:50.0 > 0.999999)
+
+(* The per-frame loss draw allocates nothing once the Gilbert–Elliott
+   timeline covers the frames: rates go into the channel's float
+   accumulator, and the uniform draw is scaled where it is compared. *)
+let test_frame_lost_in_allocates_nothing () =
+  let channel =
+    Gilbert_elliott.create ~rng:(Rng.create ~seed:5) ~mean_good:(sec 2.0)
+      ~mean_bad:(sec 0.5)
+  in
+  let decision = Loss.Stochastic (Rng.create ~seed:6) in
+  let frames = 1_000 and airtime = Simtime.span_ms 80 in
+  ignore
+    (Channel.segments channel ~start:Simtime.zero
+       ~stop:(at ((frames + 1) * Simtime.span_to_ns airtime)));
+  let lost = ref 0 in
+  let draw () =
+    for i = 0 to frames - 1 do
+      let start = at (i * Simtime.span_to_ns airtime) in
+      if
+        Loss.frame_lost_in decision Loss.paper_ber ~bits_per_sec:19_200.0
+          ~channel ~start ~stop:(Simtime.add start airtime)
+      then incr lost
+    done
+  in
+  draw ();
+  let before = Gc.minor_words () in
+  draw ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some frames lost, some not" true
+    (!lost > 0 && !lost < 2 * frames);
+  Alcotest.(check (float 0.0)) "minor words per frame" 0.0
+    (words /. float_of_int frames)
 
 let test_threshold_decision () =
   let ber = Loss.paper_ber in
@@ -476,5 +512,7 @@ let () =
             test_no_errors_never_loses;
           qc prop_loss_monotone_in_exposure;
           qc prop_batched_loss_equals_per_frame;
+          Alcotest.test_case "frame_lost_in allocates nothing" `Quick
+            test_frame_lost_in_allocates_nothing;
         ] );
     ]

@@ -239,7 +239,7 @@ let test_sched_fifo_order () =
   ignore (Sched.push s ~conn:0 "a");
   ignore (Sched.push s ~conn:1 "b");
   ignore (Sched.push s ~conn:0 "c");
-  let pop () = match Sched.pop s with Some (_, v) -> v | None -> "-" in
+  let pop () = if Sched.is_empty s then "-" else Sched.pop s in
   let x1 = pop () in
   let x2 = pop () in
   let x3 = pop () in
@@ -247,11 +247,13 @@ let test_sched_fifo_order () =
 
 let test_sched_round_robin_alternates () =
   let s = Sched.create Sched.Round_robin ~capacity:10 in
-  ignore (Sched.push s ~conn:0 "a0");
-  ignore (Sched.push s ~conn:0 "a1");
-  ignore (Sched.push s ~conn:1 "b0");
-  ignore (Sched.push s ~conn:1 "b1");
-  let pop () = match Sched.pop s with Some (c, v) -> (c, v) | None -> (-1, "-") in
+  (* Each item carries its connection, so the served pairs show which
+     lane each pop came from. *)
+  ignore (Sched.push s ~conn:0 (0, "a0"));
+  ignore (Sched.push s ~conn:0 (0, "a1"));
+  ignore (Sched.push s ~conn:1 (1, "b0"));
+  ignore (Sched.push s ~conn:1 (1, "b1"));
+  let pop () = if Sched.is_empty s then (-1, "-") else Sched.pop s in
   let x1 = pop () in
   let x2 = pop () in
   let x3 = pop () in
@@ -267,7 +269,7 @@ let test_sched_round_robin_skips_empty () =
   ignore (Sched.push s ~conn:0 "a0");
   ignore (Sched.push s ~conn:1 "b0");
   ignore (Sched.push s ~conn:1 "b1");
-  let pop () = match Sched.pop s with Some (_, v) -> v | None -> "-" in
+  let pop () = if Sched.is_empty s then "-" else Sched.pop s in
   let x1 = pop () in
   let x2 = pop () in
   let x3 = pop () in
@@ -279,7 +281,7 @@ let test_sched_push_front () =
   let s = Sched.create Sched.Fifo ~capacity:10 in
   ignore (Sched.push s ~conn:0 "b");
   Sched.push_front s ~conn:0 "a";
-  let pop () = match Sched.pop s with Some (_, v) -> v | None -> "-" in
+  let pop () = if Sched.is_empty s then "-" else Sched.pop s in
   let x1 = pop () in
   let x2 = pop () in
   Alcotest.(check (list string)) "front first" [ "a"; "b" ] [ x1; x2 ]

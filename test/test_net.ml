@@ -96,6 +96,39 @@ let test_packet_retransmit () =
       ignore (Packet.retransmit (mk_ack ()) ~id:9 ~created:now0))
 
 (* ------------------------------------------------------------------ *)
+(* Ring                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Random pushes at either end and pops, against a list model: the ring
+   grows while its head sits anywhere in the array. *)
+let prop_ring_matches_list =
+  QCheck2.Test.make ~name:"ring == list deque under push, push_front, pop"
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 0 200) (pair (int_range 0 2) small_nat))
+    (fun ops ->
+      let r = Ring.create () in
+      let model = ref [] in
+      List.for_all
+        (fun (op, x) ->
+          (match op with
+          | 0 ->
+            Ring.push r x;
+            model := !model @ [ x ]
+          | 1 ->
+            Ring.push_front r x;
+            model := x :: !model
+          | _ -> (
+            match !model with
+            | [] -> ()
+            | y :: rest ->
+              model := rest;
+              if Ring.pop r <> y then raise Exit));
+          let seen = ref [] in
+          Ring.iter (fun v -> seen := v :: !seen) r;
+          Ring.length r = List.length !model && List.rev !seen = !model)
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Queue_drop_tail                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -104,8 +137,7 @@ let test_queue_fifo () =
   Alcotest.(check bool) "enqueue 1" true (Queue_drop_tail.enqueue q 1);
   Alcotest.(check bool) "enqueue 2" true (Queue_drop_tail.enqueue q 2);
   Alcotest.(check (option int)) "peek oldest" (Some 1) (Queue_drop_tail.peek q);
-  Alcotest.(check (option int)) "dequeue oldest" (Some 1)
-    (Queue_drop_tail.dequeue q);
+  Alcotest.(check int) "dequeue oldest" 1 (Queue_drop_tail.dequeue q);
   Alcotest.(check int) "length" 1 (Queue_drop_tail.length q)
 
 let test_queue_drops () =
@@ -136,9 +168,8 @@ let prop_queue_order =
       let kept = List.filteri (fun i _ -> i < 20) xs in
       List.iter (fun x -> ignore (Queue_drop_tail.enqueue q x)) xs;
       let rec drain acc =
-        match Queue_drop_tail.dequeue q with
-        | Some x -> drain (x :: acc)
-        | None -> List.rev acc
+        if Queue_drop_tail.is_empty q then List.rev acc
+        else drain (Queue_drop_tail.dequeue q :: acc)
       in
       drain [] = kept)
 
@@ -346,6 +377,7 @@ let () =
           Alcotest.test_case "drops" `Quick test_queue_drops;
           Alcotest.test_case "filter" `Quick test_queue_filter;
           qc prop_queue_order;
+          qc prop_ring_matches_list;
         ] );
       ( "link",
         [

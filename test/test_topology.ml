@@ -241,6 +241,28 @@ let test_lan_completes_quickly () =
   Alcotest.(check bool) "throughput above 1 Mbps" true
     (Wiring.throughput_bps outcome > 1_000_000.0)
 
+(* Minor-heap words per executed event for one run, after a warm-up
+   run of the same scenario.  Exact counts depend on the compiler, so
+   whole runs get a ceiling, about 10% above what the packet path
+   reaches with OCaml 5.1 in the dev profile (9.3 WAN, 7.1 LAN), rather
+   than an equality. *)
+let check_words_per_event scenario ~ceiling =
+  ignore (run scenario);
+  let before = Gc.minor_words () in
+  let outcome = run scenario in
+  let words = Gc.minor_words () -. before in
+  let per_event = words /. float_of_int outcome.Wiring.events_executed in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/event <= %.1f" per_event ceiling)
+    true (per_event <= ceiling)
+
+let test_wan_words_per_event () =
+  check_words_per_event (Scenario.wan ~scheme:Scenario.Ebsn ~seed:1 ())
+    ~ceiling:10.2
+
+let test_lan_words_per_event () =
+  check_words_per_event (Scenario.lan ~seed:1 ()) ~ceiling:7.8
+
 let () =
   Alcotest.run "topology"
     [
@@ -278,5 +300,9 @@ let () =
             test_deterministic_mode_threshold_losses;
           Alcotest.test_case "replay mode" `Quick test_replay_mode_deterministic;
           Alcotest.test_case "lan run" `Slow test_lan_completes_quickly;
+          Alcotest.test_case "wan ebsn words per event" `Quick
+            test_wan_words_per_event;
+          Alcotest.test_case "lan words per event" `Quick
+            test_lan_words_per_event;
         ] );
     ]
