@@ -554,57 +554,11 @@ let engine_bench () =
         [ ("add/pop", live, ap); ("add/cancel/pop", live, acp) ])
       live_sizes
   in
-  (* 2. End-to-end simulator events/sec, WAN and LAN, with the minor
-     heap swept across candidate sizes — the PR-3 tune_gc experiment
-     re-run per workload on every bench run.  The winner of this
-     sweep is what Parallel.tune_gc applies in every pool worker
-     domain; if the recorded winner ever drifts from tune_gc's
-     default, update the default to follow the measurement. *)
+  (* 2. End-to-end simulator events/sec, WAN and LAN, at the
+     runtime's default GC settings. *)
   ignore (wan_batch ()) (* warm up *);
-  let saved_gc = Gc.get () in
-  let gc_candidates =
-    [
-      ("default-256k", None);
-      ("1M", Some (1 lsl 20));
-      ("4M", Some (1 lsl 22));
-      ("16M", Some (1 lsl 24));
-    ]
-  in
-  let gc_sweep =
-    List.map
-      (fun (name, words) ->
-        (match words with
-        | None -> Gc.set saved_gc
-        | Some minor_heap_words ->
-          Core.Parallel.tune_gc ~minor_heap_words ());
-        let wan_events, wan_sec = timed_best trials wan_batch in
-        let lan_events, lan_sec = timed_best trials lan_batch in
-        (name, words, wan_events, wan_sec, lan_events, lan_sec))
-      gc_candidates
-  in
-  Gc.set saved_gc;
-  let wan_events, lan_events =
-    match gc_sweep with
-    | (_, _, we, _, le, _) :: _ -> (we, le)
-    | [] -> assert false
-  in
-  let gc_winner, _, _, _, _, _ =
-    let score (_, _, _, wan_sec, _, lan_sec) = wan_sec +. lan_sec in
-    List.fold_left
-      (fun best e -> if score e < score best then e else best)
-      (List.hd gc_sweep) (List.tl gc_sweep)
-  in
-  let wan_default_sec =
-    match gc_sweep with (_, _, _, s, _, _) :: _ -> s | [] -> assert false
-  in
-  let lan_default_sec =
-    match gc_sweep with (_, _, _, _, _, s) :: _ -> s | [] -> assert false
-  in
-  let min_over f =
-    List.fold_left (fun acc e -> Stdlib.min acc (f e)) infinity gc_sweep
-  in
-  let wan_sec = min_over (fun (_, _, _, s, _, _) -> s) in
-  let lan_sec = min_over (fun (_, _, _, _, _, s) -> s) in
+  let wan_events, wan_sec = timed_best trials wan_batch in
+  let lan_events, lan_sec = timed_best trials lan_batch in
   let eps events sec = float_of_int events /. sec in
   let wan_speedup = pre_pr_wan_sec /. wan_sec in
   let lan_speedup = pre_pr_lan_sec /. lan_sec in
@@ -661,15 +615,8 @@ let engine_bench () =
              ];
          Core.Report.note
            (Printf.sprintf
-              "gc minor-heap sweep (wan+lan secs): %s — winner %s (tune_gc \
-               applies the winner in every pool worker); fig7+fig10 \
-               byte-identical to pre-PR at jobs=1 and jobs=%d: %b"
-              (String.concat ", "
-                 (List.map
-                    (fun (name, _, _, ws, _, ls) ->
-                      Printf.sprintf "%s %.3f+%.3f" name ws ls)
-                    gc_sweep))
-              gc_winner !jobs identical);
+              "fig7+fig10 byte-identical to pre-PR at jobs=1 and jobs=%d: %b"
+              !jobs identical);
        ]);
   let buf = Buffer.create 2048 in
   Printf.bprintf buf "{\n  \"target\": \"engine\",\n  \"queue_ops\": [\n";
@@ -682,42 +629,24 @@ let engine_bench () =
         (if i = n - 1 then "" else ","))
     queue_rows;
   Printf.bprintf buf "  ],\n";
-  let scenario_json name events sec default_sec tuned_sec pre_sec speedup =
+  let scenario_json name events sec pre_sec speedup =
     Printf.bprintf buf
       "  \"%s\": {\n\
       \    \"events\": %d,\n\
       \    \"sec\": %.4f,\n\
-      \    \"gc_default_sec\": %.4f,\n\
-      \    \"gc_tuned_sec\": %.4f,\n\
       \    \"events_per_sec\": %.0f,\n\
       \    \"pre_pr_sec\": %.4f,\n\
       \    \"pre_pr_events_per_sec\": %.0f,\n\
       \    \"speedup_vs_pre_pr\": %.3f\n\
       \  },\n"
-      name events sec default_sec tuned_sec
+      name events sec
       (eps events sec)
       pre_sec
       (eps events pre_sec)
       speedup
   in
-  scenario_json "wan" wan_events wan_sec wan_default_sec wan_sec
-    pre_pr_wan_sec wan_speedup;
-  scenario_json "lan" lan_events lan_sec lan_default_sec lan_sec
-    pre_pr_lan_sec lan_speedup;
-  Printf.bprintf buf "  \"gc_sweep\": [\n";
-  let n_gc = List.length gc_sweep in
-  List.iteri
-    (fun i (name, words, _, ws, _, ls) ->
-      Printf.bprintf buf
-        "    {\"minor_heap\": %S, \"minor_heap_words\": %d, \"wan_sec\": \
-         %.4f, \"lan_sec\": %.4f}%s\n"
-        name
-        (match words with Some w -> w | None -> (Gc.get ()).Gc.minor_heap_size)
-        ws ls
-        (if i = n_gc - 1 then "" else ","))
-    gc_sweep;
-  Printf.bprintf buf "  ],\n";
-  Printf.bprintf buf "  \"gc_winner\": %S,\n" gc_winner;
+  scenario_json "wan" wan_events wan_sec pre_pr_wan_sec wan_speedup;
+  scenario_json "lan" lan_events lan_sec pre_pr_lan_sec lan_speedup;
   (* Lifetime engine counters summed over the 100-seed WAN batch:
      queue traffic, and how much timer churn the soft-timer layer
      absorbed without touching the queue. *)
@@ -1199,8 +1128,8 @@ let cache_bench () =
    must print byte-identically to the uninterrupted reference, at
    jobs=1 and jobs=N; (2) a verify-mode resume must re-simulate every
    restored cell with zero divergences; (3) a forced-deadline cell
-   must be retried with backoff then quarantined without failing the
-   campaign; (4) a killed worker and a poisoned cache entry must both
+   must be retried then quarantined without failing the campaign;
+   (4) a killed worker and a poisoned checkpoint payload must both
    recover to the identical report.  Timings record what resume and
    recovery cost relative to the straight run. *)
 let supervise_bench () =
@@ -1264,7 +1193,7 @@ let supervise_bench () =
     && res1.Core.Campaigns.resumed > 0
   in
   (* Resume overhead: re-resuming the finished jobs=1 campaign (every
-     cell restored from the store, nothing simulated). *)
+     cell restored from its manifest, nothing simulated). *)
   let warm, warm_resume_sec =
     time (fun () -> run_campaign ~options:resume_opts ~jobs:1 "kill1")
   in
@@ -1287,8 +1216,8 @@ let supervise_bench () =
     && vstats.Core.Cache.verify_fail = 0
   in
   (* Forced deadline: cell 1 pinned to a 1-event budget on every
-     attempt — retried with backoff, then quarantined; the campaign
-     itself stays ok. *)
+     attempt — retried, then quarantined; the campaign itself stays
+     ok. *)
   Core.Supervisor.reset_stats ();
   let deadline_report =
     run_campaign
@@ -1306,7 +1235,6 @@ let supervise_bench () =
     && deadline_report.Core.Campaigns.ok
     && s.Core.Supervisor.deadline_hits >= 2
     && s.Core.Supervisor.retries >= 1
-    && s.Core.Supervisor.backoff_ms > 0
   in
   (* Worker killed mid-cell: retried transparently, identical report. *)
   let killed_report =
@@ -1318,8 +1246,8 @@ let supervise_bench () =
         }
       ~options:opts ~jobs:1 "worker"
   in
-  (* Poisoned checkpoint: the store entry is corrupted after its
-     flush; the resume must heal it by re-simulation. *)
+  (* Poisoned checkpoint: the cell's payload line is written corrupt;
+     the resume must heal it by re-simulation. *)
   let _poisoned =
     run_campaign
       ~sabotage:
@@ -1353,11 +1281,10 @@ let supervise_bench () =
          Core.Report.note
            (Printf.sprintf
               "forced deadline quarantined without failing campaign: %b \
-               (deadline_hits=%d retries=%d backoff_ms=%d); kill/poison \
-               recovery identical: %b"
+               (deadline_hits=%d retries=%d); kill/poison recovery \
+               identical: %b"
               deadline_ok s.Core.Supervisor.deadline_hits
-              s.Core.Supervisor.retries s.Core.Supervisor.backoff_ms
-              sabotage_ok);
+              s.Core.Supervisor.retries sabotage_ok);
        ]);
   Core.Report.write_atomic ~path:"BENCH_supervise.json"
     (Printf.sprintf
@@ -1374,7 +1301,7 @@ let supervise_bench () =
        \  \"warm_resume_identical\": %b,\n\
        \  \"verify\": {\"ok\": %d, \"fail\": %d, \"passed\": %b},\n\
        \  \"deadline\": {\"quarantined\": %d, \"campaign_ok\": %b, \
-        \"deadline_hits\": %d, \"retries\": %d, \"backoff_ms\": %d},\n\
+        \"deadline_hits\": %d, \"retries\": %d},\n\
        \  \"sabotage_recovery_identical\": %b,\n\
        \  \"ok\": %b\n\
         }\n"
@@ -1385,8 +1312,7 @@ let supervise_bench () =
        vstats.Core.Cache.verify_fail verify_ok
        deadline_report.Core.Campaigns.quarantined
        deadline_report.Core.Campaigns.ok s.Core.Supervisor.deadline_hits
-       s.Core.Supervisor.retries s.Core.Supervisor.backoff_ms sabotage_ok
-       all_ok);
+       s.Core.Supervisor.retries sabotage_ok all_ok);
   print_endline "wrote BENCH_supervise.json";
   rm_rf root;
   if not kill_ok then

@@ -253,12 +253,12 @@ let supervised_arg =
     value & flag
     & info [ "supervised" ]
         ~doc:
-          "Run the campaign under the supervisor: completed cells are \
-           checkpointed through the replication cache plus a campaign \
-           manifest, SIGINT/SIGTERM flushes a partial report (exit 130), \
-           and $(b,wtcp resume) restarts from the manifest re-simulating \
-           only the missing cells.  Implied by $(b,--deadline), \
-           $(b,--retries) and $(b,--resume).")
+          "Run the campaign under the supervisor: each completed cell's \
+           result is checkpointed in one campaign manifest under \
+           $(b,<cache-dir>/campaigns/), SIGINT/SIGTERM flushes a partial \
+           report (exit 130), and $(b,wtcp resume) restarts from that \
+           manifest alone, re-simulating only the missing cells.  \
+           Implied by $(b,--deadline), $(b,--retries) and $(b,--resume).")
 
 let deadline_arg =
   Arg.(
@@ -268,8 +268,8 @@ let deadline_arg =
         ~doc:
           "Per-cell deadline as a simulated-event budget, enforced \
            cooperatively inside the engine so determinism is untouched.  \
-           A cell that exhausts it is retried with backoff at a relaxed \
-           budget, then quarantined.")
+           A cell that exhausts it is retried at once with an 8x larger \
+           budget per attempt, then quarantined.")
 
 let retries_arg =
   Arg.(
@@ -285,8 +285,8 @@ let resume_arg =
     & info [ "resume" ]
         ~doc:
           "Reuse the campaign's surviving manifest: cells it checkpointed \
-           are restored from the cache, only the rest re-simulate.  \
-           Without this flag a fresh run deletes any old manifest.")
+           are restored from it, only the rest re-simulate.  Without \
+           this flag a fresh run deletes any old manifest.")
 
 let supervise_term =
   let assemble supervised deadline retries resume =
@@ -297,7 +297,6 @@ let supervise_term =
           retries =
             Option.value retries
               ~default:Core.Campaigns.default_options.Core.Campaigns.retries;
-          backoff_ms = Core.Campaigns.default_options.Core.Campaigns.backoff_ms;
           resume;
         }
     else None
@@ -330,6 +329,9 @@ let run_supervised ?(exit_on_fail = false) ?manifest_dir ~jobs ~json options
     kind =
   let should_stop = install_interrupt () in
   match Core.Campaigns.run ~jobs ?manifest_dir ~should_stop ~options kind with
+  | exception Sys_error msg ->
+    Printf.eprintf "wtcp: cannot checkpoint campaign: %s\n" msg;
+    exit 1
   | exception Core.Cache.Verify_mismatch { key; _ } ->
     Printf.eprintf
       "wtcp: campaign verify FAILED: entry %s diverges from a fresh \
@@ -773,20 +775,26 @@ let resume_cmd =
              $(b,<cache-dir>/campaigns/) by default).")
   in
   let action () manifest jobs deadline retries json_path =
-    match Core.Campaign_manifest.load ~path:manifest with
-    | Error msg ->
+    let refuse msg =
       Printf.eprintf "wtcp: cannot resume %s: %s\n" manifest msg;
       exit 1
+    in
+    match Core.Campaign_manifest.load ~path:manifest with
+    | Error msg -> refuse msg
     | Ok m -> (
-      let spec = m.Core.Campaign_manifest.header.Core.Campaign_manifest.spec in
-      match Core.Campaigns.kind_of_spec spec with
-      | Error msg ->
-        Printf.eprintf "wtcp: cannot resume %s: %s\n" manifest msg;
-        exit 1
+      let header = m.Core.Campaign_manifest.header in
+      match Core.Campaigns.kind_of_spec header.Core.Campaign_manifest.spec with
+      | Error msg -> refuse msg
+      | Ok kind
+        when Core.Campaigns.cell_count kind
+             <> header.Core.Campaign_manifest.cells ->
+        refuse
+          (Printf.sprintf "header says %d cells, its spec builds %d"
+             header.Core.Campaign_manifest.cells
+             (Core.Campaigns.cell_count kind))
       | Ok kind ->
         let options =
           {
-            Core.Campaigns.default_options with
             Core.Campaigns.deadline;
             retries =
               Option.value retries

@@ -51,6 +51,5 @@ val prune : dir:string -> sweep
     {!clear}. *)
 
 val entry_path : dir:string -> key:string -> string
-(** Where {!put} stores [key]'s entry — exposed for the supervisor's
-    checkpoint poisoning sabotage and for tests that need to damage
-    entries deliberately. *)
+(** Where {!put} stores [key]'s entry — exposed for tests that need
+    to damage entries deliberately. *)

@@ -1,26 +1,5 @@
 let default_jobs () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
 
-(* Settings picked by measurement on the bench `engine` workload (see
-   BENCH_engine.json's "gc_sweep" record, regenerated by every run of
-   the engine target).  The sweep times the WAN+LAN batteries at
-   256 k (stdlib default), 1 M, 4 M and 16 M minor-heap words; on the
-   container that produced the committed record the 256 kword default
-   still wins, though after the hot-path allocation reductions (≈27
-   minor words/event) the whole sweep sits within ~2% — the nursery
-   size barely matters once per-event garbage is this low.  (Beware
-   thermal throttling when re-measuring: the candidates run in
-   sequence, so a cooling-down host can fake a 30% "winner" — trust
-   only sweeps whose spread is reproducible.)  tune_gc keeps the
-   default nursery and only loosens space_overhead to keep the major
-   GC off the sweep's critical path.  Applied once per worker domain
-   at spawn.  Rerun the engine target on new hardware before
-   second-guessing this. *)
-let tuned_minor_heap_words = 1 lsl 18
-
-let tune_gc ?(minor_heap_words = tuned_minor_heap_words) () =
-  let g = Gc.get () in
-  Gc.set { g with Gc.minor_heap_size = minor_heap_words; space_overhead = 200 }
-
 (* Set in every pool worker domain.  A map call issued from inside a
    worker (nested parallelism) must not wait on the pool it is itself
    part of, so it degrades to a plain sequential map. *)
@@ -116,7 +95,6 @@ module Pool = struct
     let d =
       Domain.spawn (fun () ->
           Domain.DLS.set in_worker true;
-          tune_gc ();
           worker_loop pool epoch0)
     in
     Atomic.incr domains_spawned;

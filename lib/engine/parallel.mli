@@ -10,13 +10,14 @@
 
     Domains are spawned {e once per process} (lazily, on the first
     parallel call) and then reused by every later call: a whole
-    figure battery pays domain-spawn and GC-retuning cost once, not
-    once per sweep.  Work is distributed by stealing chunks of
-    adjacent indices off a shared cursor; each steal targets tens of
-    milliseconds of work (re-estimated from the stealer's previous
-    chunk), and every participant accumulates its results in its own
-    shard, merged by index after the last task — so the output is
-    deterministic whatever the steal interleaving was.
+    figure battery pays domain-spawn cost once, not once per sweep.
+    Every domain runs with the runtime's default GC settings.  Work
+    is distributed by stealing chunks of adjacent indices off a
+    shared cursor; each steal targets tens of milliseconds of work
+    (re-estimated from the stealer's previous chunk), and every
+    participant accumulates its results in its own shard, merged by
+    index after the last task — so the output is deterministic
+    whatever the steal interleaving was.
 
     Nesting is safe: a [map] issued from inside a pool worker runs
     sequentially on that worker instead of waiting on its own pool. *)
@@ -25,15 +26,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], clamped to at least 1.
     One domain is reserved for the caller, which also works as part
     of the pool. *)
-
-val tune_gc : ?minor_heap_words:int -> unit -> unit
-(** Apply the GC settings the simulation workload was measured to
-    prefer: [minor_heap_words] minor heap (default: the winner of the
-    bench [engine] target's minor-heap sweep, recorded in
-    [BENCH_engine.json]) and a looser [space_overhead].  Called
-    automatically in every domain the pool spawns; call it yourself
-    on the main domain before a long sequential run.  GC settings
-    never change simulation results — only wall-clock. *)
 
 (** The persistent domain pool behind {!map} / {!map_array}.
 

@@ -9,8 +9,8 @@
     is byte-identical to a run with no fault machinery installed.
 
     Plans target the {e simulated network}.  Faults against the
-    {e harness itself} — a killed worker domain, a poisoned cache
-    entry, a cell forced past its event budget — are injected one
+    {e harness itself} — a killed worker domain, a poisoned checkpoint
+    payload, a cell forced past its event budget — are injected one
     level up by [Supervise.Supervisor.sabotage], which reuses the
     same discipline: sabotage is fixed before the campaign starts and
     never perturbs what a surviving cell computes. *)

@@ -32,15 +32,9 @@ type kind =
     }
   | Advisor of { bads : float list; replications : int }
 
-type options = {
-  deadline : int option;
-  retries : int;
-  backoff_ms : float;
-  resume : bool;
-}
+type options = { deadline : int option; retries : int; resume : bool }
 
-let default_options =
-  { deadline = None; retries = 3; backoff_ms = 25.0; resume = false }
+let default_options = { deadline = None; retries = 3; resume = false }
 
 type report = {
   rendered : string;
@@ -165,33 +159,9 @@ let config_of ?wave_size options =
   {
     Supervisor.deadline_events = options.deadline;
     max_attempts = options.retries;
-    backoff_base_ms = options.backoff_ms;
-    backoff_cap_ms = Float.max 1000.0 options.backoff_ms;
     relax_factor = 8;
     wave_size;
   }
-
-(* Run cells under the supervisor.  A fresh (non-resume) run deletes
-   any manifest a previous identically-shaped campaign left behind, so
-   [--resume] is always an explicit request, never an accident. *)
-let supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir
-    ?store_dir ~spec cells =
-  let store_dir =
-    match store_dir with Some d -> d | None -> Repcache.Cache.dir ()
-  in
-  let manifest_dir =
-    match manifest_dir with
-    | Some d -> d
-    | None -> Filename.concat store_dir "campaigns"
-  in
-  if not options.resume then begin
-    let keys = Array.map (fun c -> c.Supervisor.key) cells in
-    let id = Supervisor.campaign_id ~spec ~keys in
-    try Sys.remove (Manifest.path ~dir:manifest_dir ~id)
-    with Sys_error _ -> ()
-  end;
-  Supervisor.run ~config:(config_of ?wave_size options) ~jobs ~spec
-    ~manifest_dir ~store_dir ?sabotage ?should_stop cells
 
 let count_quarantined outcomes =
   Array.fold_left
@@ -208,7 +178,8 @@ let partial_header total outcomes =
   Printf.sprintf "partial: %d/%d cells settled (resume to finish)\n" settled
     total
 
-let assemble ~(sup : 'a Supervisor.report) ~total ~ok ~rendered ~json =
+let assemble ~(sup : 'a Supervisor.report) ~ok ~rendered ~json =
+  let total = Array.length sup.Supervisor.outcomes in
   let rendered =
     if sup.Supervisor.interrupted then
       partial_header total sup.Supervisor.outcomes ^ rendered
@@ -259,7 +230,7 @@ let settled_measurements outcomes ~lo ~len =
 
 (* A chaos payload key must cover [check]: the same (scenario, plan)
    cell yields a different result record when the invariant checkers
-   are on, so the two must never share a store entry. *)
+   are on, so the two must never share a key. *)
 let chaos_key ~check sp =
   Digest.to_hex
     (Digest.string
@@ -421,17 +392,6 @@ let chaos_json specs outcomes =
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
-let run_chaos ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-    ~spec ~plans ~base_seed ~cc ~check () =
-  let specs, cells = chaos_cells ~plans ~base_seed ~cc ~check in
-  let sup =
-    supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-      ~spec cells
-  in
-  let rendered, ok = chaos_render specs sup.Supervisor.outcomes in
-  let json = chaos_json specs sup.Supervisor.outcomes in
-  assemble ~sup ~total:(Array.length cells) ~ok ~rendered ~json:(Some json)
-
 (* ------------------------------------------------------------------ *)
 (* Compare                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -498,18 +458,6 @@ let compare_render ~replications outcomes =
              (metric S.timeouts)))
     Topology.Scenario.all_schemes;
   Buffer.contents b
-
-let run_compare ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-    ~spec ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc () =
-  let cells =
-    compare_cells ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc
-  in
-  let sup =
-    supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-      ~spec cells
-  in
-  let rendered = compare_render ~replications sup.Supervisor.outcomes in
-  assemble ~sup ~total:(Array.length cells) ~ok:true ~rendered ~json:None
 
 (* ------------------------------------------------------------------ *)
 (* Advisor                                                             *)
@@ -578,30 +526,55 @@ let advisor_render ~bads ~replications outcomes =
     bads;
   Buffer.contents b
 
-let run_advisor ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-    ~spec ~bads ~replications () =
-  let cells = advisor_cells ~bads ~replications in
-  let sup =
-    supervised ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-      ~spec cells
-  in
-  let rendered = advisor_render ~bads ~replications sup.Supervisor.outcomes in
-  assemble ~sup ~total:(Array.length cells) ~ok:true ~rendered ~json:None
-
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(jobs = 1) ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir ~options
-    kind =
+let cell_count = function
+  | Chaos { plans; _ } -> plans
+  | Compare { replications; _ } ->
+    List.length Topology.Scenario.all_schemes * replications
+  | Advisor { bads; replications } ->
+    List.length bads * Array.length advisor_candidates * replications
+
+let run ?(jobs = 1) ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
+    ~options kind =
   let spec = spec_string kind in
+  let manifest_dir =
+    match (manifest_dir, store_dir) with
+    | Some d, _ -> d
+    | None, Some d -> Filename.concat d "campaigns"
+    | None, None -> Filename.concat (Repcache.Cache.dir ()) "campaigns"
+  in
+  (* A fresh (non-resume) run deletes any manifest a previous
+     identically-shaped campaign left behind, so [--resume] is always
+     an explicit request, never an accident. *)
+  let supervised cells =
+    if not options.resume then begin
+      let keys = Array.map (fun c -> c.Supervisor.key) cells in
+      let id = Supervisor.campaign_id ~spec ~keys in
+      try Sys.remove (Manifest.path ~dir:manifest_dir ~id)
+      with Sys_error _ -> ()
+    end;
+    Supervisor.run ~config:(config_of ?wave_size options) ~jobs ~spec
+      ~manifest_dir ?sabotage ?should_stop cells
+  in
   match kind with
   | Chaos { plans; base_seed; cc; check } ->
-    run_chaos ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-      ~spec ~plans ~base_seed ~cc ~check ()
+    let specs, cells = chaos_cells ~plans ~base_seed ~cc ~check in
+    let sup = supervised cells in
+    let rendered, ok = chaos_render specs sup.Supervisor.outcomes in
+    let json = chaos_json specs sup.Supervisor.outcomes in
+    assemble ~sup ~ok ~rendered ~json:(Some json)
   | Compare { preset; packet_size; bad; good; file; seed; replications; cc } ->
-    run_compare ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-      ~spec ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc ()
+    let sup =
+      supervised
+        (compare_cells ~preset ~packet_size ~bad ~good ~file ~seed
+           ~replications ~cc)
+    in
+    let rendered = compare_render ~replications sup.Supervisor.outcomes in
+    assemble ~sup ~ok:true ~rendered ~json:None
   | Advisor { bads; replications } ->
-    run_advisor ~options ~jobs ?wave_size ?sabotage ?should_stop ?manifest_dir ?store_dir
-      ~spec ~bads ~replications ()
+    let sup = supervised (advisor_cells ~bads ~replications) in
+    let rendered = advisor_render ~bads ~replications sup.Supervisor.outcomes in
+    assemble ~sup ~ok:true ~rendered ~json:None

@@ -35,13 +35,12 @@ type options = {
   deadline : int option;
       (** per-cell simulated-event budget (attempt 1); [None] = none *)
   retries : int;  (** total attempts per cell before quarantine *)
-  backoff_ms : float;  (** backoff before the second attempt *)
   resume : bool;
       (** reuse a surviving manifest instead of deleting it *)
 }
 
 val default_options : options
-(** No deadline, 3 attempts, 25ms backoff, fresh (non-resume) run. *)
+(** No deadline, 3 attempts, fresh (non-resume) run. *)
 
 type report = {
   rendered : string;
@@ -65,6 +64,10 @@ val spec_string : kind -> string
 
 val kind_of_spec : string -> (kind, string) result
 
+val cell_count : kind -> int
+(** How many cells {!run} builds for the kind, without building them:
+    what a manifest's [cells] header must say for its spec. *)
+
 val run :
   ?jobs:int ->
   ?wave_size:int ->
@@ -79,5 +82,7 @@ val run :
     checkpointing on (spec = [spec_string kind]), and render the
     settled outcomes.  Unless [options.resume], any manifest a
     previous identically-shaped campaign left behind is deleted first.
-    [store_dir] defaults to {!Repcache.Cache.dir}; [manifest_dir] to
-    [<store_dir>/campaigns]. *)
+    The manifest, in [manifest_dir] (default [<store_dir>/campaigns],
+    [store_dir] defaulting to {!Repcache.Cache.dir}), is the only file
+    a campaign writes and the only one a resume reads.
+    @raise Sys_error if the manifest cannot be created or written. *)

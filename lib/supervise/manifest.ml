@@ -1,22 +1,22 @@
 (* Campaign manifest: the append-only checkpoint log of a supervised
-   campaign.  Layout:
+   campaign, and the only file a campaign writes.  Layout:
 
      wtcp-campaign <engine_version>\n
      id <campaign id>\n
      spec <campaign spec line>\n
      cells <n>\n
+     data <payload key> <percent-encoded payload>\n
      done <idx> <payload key>\n
      quar <idx> <attempts> <percent-encoded error>\n
 
-   The header is written (and flushed) before any cell settles;
-   completion lines are appended and flushed once per wave.  Payloads
-   themselves live in the Repcache disk store under the key on the
-   [done] line — the manifest records *which* cells settled, never
-   their bytes.  A process killed mid-flush can tear at most the
+   The header is written (and flushed) before any cell settles; each
+   settled cell's [data] and [done] lines are appended and flushed
+   once per wave.  A process killed mid-flush can tear at most the
    final line (appends are prefix-durable for regular files), so a
    load drops an unterminated tail and treats anything unparseable as
    "not settled": the worst a torn manifest costs is re-simulating
-   one wave. *)
+   one wave.  A [data] line always precedes its [done] line, so a
+   tear inside it leaves the cell with neither. *)
 
 let magic = "wtcp-campaign"
 
@@ -25,21 +25,31 @@ type entry =
   | Quarantined of { attempts : int; error : string }
 
 type header = { id : string; spec : string; cells : int }
-type loaded = { header : header; entries : entry option array }
+
+type loaded = {
+  header : header;
+  entries : (int, entry) Hashtbl.t;
+  payloads : (string, string) Hashtbl.t;
+}
+
 type t = { oc : out_channel }
 
-(* Percent-encoding for the free-text error field, so quarantine
-   lines stay single-line and space-splittable. *)
-let encode_token s =
-  let b = Buffer.create (String.length s) in
+(* Percent-encoding for payloads and error text, so every line stays
+   single-line and space-splittable.  Written straight to the channel
+   through a hex table: every settled cell's payload passes through
+   here on the checkpoint path. *)
+let hex = "0123456789abcdef"
+
+let output_token oc s =
   String.iter
     (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '/' | '-' | '=' ->
-        Buffer.add_char b c
-      | c -> Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c)))
-    s;
-  Buffer.contents b
+      if c > ' ' && c <= '~' && c <> '%' then output_char oc c
+      else begin
+        output_char oc '%';
+        output_char oc hex.[Char.code c lsr 4];
+        output_char oc hex.[Char.code c land 15]
+      end)
+    s
 
 let decode_token s =
   let n = String.length s in
@@ -122,14 +132,20 @@ let load ~path =
           (Printf.sprintf "minted by engine %s, this is %s" version
              Repcache.Fingerprint.engine_version)
       | Some _, Some id, Some spec, Some cells when cells >= 0 ->
-        let entries = Array.make cells None in
+        (* Sized by the lines read, never by the header's [cells]: a
+           damaged or hostile header must not size memory. *)
+        let entries = Hashtbl.create 64 and payloads = Hashtbl.create 64 in
         List.iter
           (fun line ->
             match String.split_on_char ' ' line with
+            | [ "data"; key; payload ] -> (
+              match decode_token payload with
+              | Some p -> Hashtbl.replace payloads key p
+              | None -> ())
             | [ "done"; idx; key ] -> (
               match int_of_string_opt idx with
               | Some i when i >= 0 && i < cells ->
-                entries.(i) <- Some (Done { key })
+                Hashtbl.replace entries i (Done { key })
               | _ -> ())
             | [ "quar"; idx; attempts; err ] -> (
               match
@@ -138,11 +154,11 @@ let load ~path =
                   decode_token err )
               with
               | Some i, Some attempts, Some error when i >= 0 && i < cells ->
-                entries.(i) <- Some (Quarantined { attempts; error })
+                Hashtbl.replace entries i (Quarantined { attempts; error })
               | _ -> ())
             | _ -> () (* torn or foreign line: not settled *))
           body;
-        Ok { header = { id; spec; cells }; entries }
+        Ok { header = { id; spec; cells }; entries; payloads }
       | _ -> Error "malformed manifest header")
     | _ -> Error "truncated manifest header")
 
@@ -161,11 +177,20 @@ let create ~path ~id ~spec ~cells =
 let open_append ~path =
   { oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path }
 
+let append_payload t ~key payload =
+  output_string t.oc "data ";
+  output_string t.oc key;
+  output_char t.oc ' ';
+  output_token t.oc payload;
+  output_char t.oc '\n'
+
 let append t ~idx entry =
   match entry with
   | Done { key } -> Printf.fprintf t.oc "done %d %s\n" idx key
   | Quarantined { attempts; error } ->
-    Printf.fprintf t.oc "quar %d %d %s\n" idx attempts (encode_token error)
+    Printf.fprintf t.oc "quar %d %d " idx attempts;
+    output_token t.oc error;
+    output_char t.oc '\n'
 
 let flush t = flush t.oc
 let close t = close_out_noerr t.oc

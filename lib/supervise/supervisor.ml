@@ -1,15 +1,15 @@
-(* The supervised campaign runner: deadlines, retry-with-backoff,
-   quarantine and checkpoint/resume over the work-stealing pool.
+(* The supervised campaign runner: deadlines, retry, quarantine and
+   checkpoint/resume over the work-stealing pool.
 
    Execution is wave-based: the pending cells are chunked into waves
    of ~8*jobs, each wave fans out over [Parallel.map_array], and all
-   bookkeeping — checkpoint flushes, manifest appends, the interrupt
-   poll — happens on the main domain between waves.  That keeps file
-   IO and signal state off the worker domains, bounds how much work
-   an interrupt loses to one wave, and preserves the pool's
-   determinism contract: outcomes merge by index, so the settled
-   array is byte-identical at any [jobs] and any interleaving of
-   interruptions and resumes. *)
+   bookkeeping — manifest appends and flushes, the interrupt poll —
+   happens on the main domain between waves.  That keeps file IO and
+   signal state off the worker domains, bounds how much work an
+   interrupt loses to one wave, and preserves the pool's determinism
+   contract: outcomes merge by index, so the settled array is
+   byte-identical at any [jobs] and any interleaving of interruptions
+   and resumes. *)
 
 exception Worker_killed of { cell : int }
 
@@ -23,7 +23,6 @@ let () =
    measure deltas, benches reset. *)
 let deadline_hits_total = Atomic.make 0
 let retries_total = Atomic.make 0
-let backoff_ms_total = Atomic.make 0
 let quarantined_total = Atomic.make 0
 let resumed_total = Atomic.make 0
 let flushes_total = Atomic.make 0
@@ -41,7 +40,7 @@ let stats () =
   {
     deadline_hits = Atomic.get deadline_hits_total;
     retries = Atomic.get retries_total;
-    backoff_ms = Atomic.get backoff_ms_total;
+    backoff_ms = 0;
     quarantined = Atomic.get quarantined_total;
     resumed_cells = Atomic.get resumed_total;
     checkpoint_flushes = Atomic.get flushes_total;
@@ -50,7 +49,6 @@ let stats () =
 let reset_stats () =
   Atomic.set deadline_hits_total 0;
   Atomic.set retries_total 0;
-  Atomic.set backoff_ms_total 0;
   Atomic.set quarantined_total 0;
   Atomic.set resumed_total 0;
   Atomic.set flushes_total 0
@@ -60,7 +58,6 @@ let record_metrics registry =
   let s = stats () in
   c "engine.supervisor.deadline_hits" s.deadline_hits;
   c "engine.supervisor.retries" s.retries;
-  c "engine.supervisor.backoff_ms" s.backoff_ms;
   c "engine.supervisor.quarantined" s.quarantined;
   c "engine.supervisor.resumed_cells" s.resumed_cells;
   c "engine.supervisor.checkpoint_flushes" s.checkpoint_flushes
@@ -68,8 +65,6 @@ let record_metrics registry =
 type config = {
   deadline_events : int option;
   max_attempts : int;
-  backoff_base_ms : float;
-  backoff_cap_ms : float;
   relax_factor : int;
   wave_size : int option;
 }
@@ -78,8 +73,6 @@ let default_config =
   {
     deadline_events = None;
     max_attempts = 3;
-    backoff_base_ms = 25.0;
-    backoff_cap_ms = 1000.0;
     relax_factor = 8;
     wave_size = None;
   }
@@ -157,21 +150,7 @@ let budget_for config sabotage ~cell ~attempt =
 let attempt_cell config sabotage cells i =
   let cell = cells.(i) in
   let rec go attempt =
-    if attempt > 1 then begin
-      (* Exponential backoff: base * 2^(retry-1), capped.  Real time,
-         not simulated — the delay exists to let a transient cause
-         (memory pressure, a busy sibling) clear, and is invisible to
-         the deterministic outcome. *)
-      let delay_ms =
-        Float.min config.backoff_cap_ms
-          (config.backoff_base_ms *. float_of_int (1 lsl (attempt - 2)))
-      in
-      if delay_ms > 0.0 then Unix.sleepf (delay_ms /. 1000.0);
-      ignore
-        (Atomic.fetch_and_add backoff_ms_total
-           (int_of_float (Float.round delay_ms)));
-      Atomic.incr retries_total
-    end;
+    if attempt > 1 then Atomic.incr retries_total;
     match
       (if sabotage.kill_cell = Some i && attempt = 1 then
          raise (Worker_killed { cell = i }));
@@ -190,7 +169,7 @@ let attempt_cell config sabotage cells i =
   in
   go 1
 
-let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
+let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir
     ?(sabotage = no_sabotage) ?should_stop (cells : 'a cell array) =
   if config.max_attempts < 1 then
     invalid_arg "Supervisor.run: max_attempts < 1";
@@ -198,16 +177,13 @@ let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
     invalid_arg "Supervisor.run: relax_factor < 1";
   let n = Array.length cells in
   let outcomes : 'a outcome option array = Array.make n None in
-  let store_dir =
-    match store_dir with Some d -> d | None -> Repcache.Cache.dir ()
-  in
   let resumed = ref 0 in
   (* Checkpointing is on iff the campaign has a spec.  Restore settled
      cells from a surviving manifest first: a [done] line only counts
-     if its key matches the rebuilt cell AND the disk store still
-     serves a decodable payload — a poisoned or vanished entry heals
-     by re-simulation.  In Verify cache mode every restored cell is
-     re-simulated and compared, turning resume into a determinism
+     if its key matches the rebuilt cell AND the manifest still holds
+     a decodable payload for it — a torn, poisoned or missing payload
+     heals by re-simulation.  In Verify cache mode every restored cell
+     is re-simulated and compared, turning resume into a determinism
      oracle. *)
   let manifest, manifest_path =
     match spec with
@@ -218,7 +194,7 @@ let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
       let dir =
         match manifest_dir with
         | Some d -> d
-        | None -> Filename.concat store_dir "campaigns"
+        | None -> Filename.concat (Repcache.Cache.dir ()) "campaigns"
       in
       let path = Manifest.path ~dir ~id in
       let prior =
@@ -233,34 +209,33 @@ let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
       (match prior with
       | None -> ()
       | Some m ->
-        Array.iteri
-          (fun i entry ->
-            match entry with
-            | None -> ()
-            | Some (Manifest.Quarantined { attempts; error }) ->
-              outcomes.(i) <- Some (Quarantined { attempts; error });
-              incr resumed
-            | Some (Manifest.Done { key }) when key = cells.(i).key -> (
-              match Repcache.Store.get ~dir:store_dir ~key with
-              | None -> () (* payload gone or poisoned: re-simulate *)
-              | Some payload -> (
-                match cells.(i).decode payload with
-                | None -> ()
-                | Some v ->
-                  (match Repcache.Cache.mode () with
-                  | Repcache.Cache.Verify ->
-                    let fresh = cells.(i).encode (cells.(i).simulate ()) in
-                    let ok = String.equal fresh payload in
-                    Repcache.Cache.note_verify ~ok;
-                    if not ok then
-                      raise
-                        (Repcache.Cache.Verify_mismatch
-                           { key; cached = payload; fresh })
-                  | _ -> ());
-                  outcomes.(i) <- Some (Done v);
-                  incr resumed))
-            | Some (Manifest.Done _) -> () (* foreign key: re-simulate *))
-          m.Manifest.entries);
+        for i = 0 to n - 1 do
+          match Hashtbl.find_opt m.Manifest.entries i with
+          | None -> ()
+          | Some (Manifest.Quarantined { attempts; error }) ->
+            outcomes.(i) <- Some (Quarantined { attempts; error });
+            incr resumed
+          | Some (Manifest.Done { key }) when key = cells.(i).key -> (
+            match Hashtbl.find_opt m.Manifest.payloads key with
+            | None -> () (* payload torn or missing: re-simulate *)
+            | Some payload -> (
+              match cells.(i).decode payload with
+              | None -> () (* payload poisoned: re-simulate *)
+              | Some v ->
+                (match Repcache.Cache.mode () with
+                | Repcache.Cache.Verify ->
+                  let fresh = cells.(i).encode (cells.(i).simulate ()) in
+                  let ok = String.equal fresh payload in
+                  Repcache.Cache.note_verify ~ok;
+                  if not ok then
+                    raise
+                      (Repcache.Cache.Verify_mismatch
+                         { key; cached = payload; fresh })
+                | _ -> ());
+                outcomes.(i) <- Some (Done v);
+                incr resumed))
+          | Some (Manifest.Done _) -> () (* foreign key: re-simulate *)
+        done);
       ignore (Atomic.fetch_and_add resumed_total !resumed);
       let t =
         match prior with
@@ -310,20 +285,13 @@ let run ?(config = default_config) ?(jobs = 1) ?spec ?manifest_dir ?store_dir
           | Some m -> (
             match outcome with
             | Done v ->
-              Repcache.Store.put ~dir:store_dir ~key:cells.(i).key
-                (cells.(i).encode v);
-              (* Poison sabotage: corrupt the freshly flushed payload
-                 so a later resume exercises the healing path. *)
-              (if sabotage.poison_cell = Some i then
-                 let path =
-                   Repcache.Store.entry_path ~dir:store_dir ~key:cells.(i).key
-                 in
-                 try
-                   let oc = open_out_bin path in
-                   output_string oc "poisoned by sabotage\n";
-                   close_out_noerr oc
-                 with Sys_error _ -> ());
-              Manifest.append m ~idx:i (Manifest.Done { key = cells.(i).key })
+              let key = cells.(i).key in
+              (* Poison sabotage: checkpoint a payload that fails to
+                 decode, so a later resume exercises the healing path. *)
+              Manifest.append_payload m ~key
+                (if sabotage.poison_cell = Some i then "poisoned by sabotage"
+                 else cells.(i).encode v);
+              Manifest.append m ~idx:i (Manifest.Done { key })
             | Quarantined { attempts; error } ->
               Manifest.append m ~idx:i
                 (Manifest.Quarantined { attempts; error })))

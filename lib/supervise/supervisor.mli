@@ -1,5 +1,5 @@
-(** Supervised campaign runner: per-cell deadlines, retry with
-    exponential backoff, quarantine, and checkpoint/resume.
+(** Supervised campaign runner: per-cell deadlines, retry at relaxed
+    budgets, quarantine, and checkpoint/resume.
 
     A {e cell} is one unit of campaign work — a single replication of
     a single scenario — with a content-addressed key, a deterministic
@@ -7,17 +7,18 @@
     of cells to completion over the {!Sim_engine.Parallel} pool,
     enforcing a cooperative deadline (a simulated-event budget checked
     inside {!Sim_engine.Simulator.step}, so determinism is untouched),
-    retrying failures at relaxed budget tiers with real-time backoff,
-    and quarantining cells that fail every attempt instead of sinking
-    the campaign.
+    retrying failures at once at relaxed budget tiers, and
+    quarantining cells that fail every attempt instead of sinking the
+    campaign.  A cell is a pure function of its seed and budget, so a
+    retry waits for nothing: only its budget changes.
 
-    When a campaign [spec] is supplied, completed cells are flushed
-    incrementally — payloads through the {!Repcache.Store} disk tier,
-    completion lines through a {!Manifest} — so an interrupted
-    campaign resumes by re-simulating only the missing cells.  Because
-    outcomes merge by cell index and each cell re-simulates from its
-    own seed, a resumed campaign is byte-identical to an uninterrupted
-    one at any [jobs]. *)
+    When a campaign [spec] is supplied, completed cells — payload and
+    completion line alike — are appended to a {!Manifest} once per
+    wave, so an interrupted campaign resumes from that one file by
+    re-simulating only the missing cells.  Because outcomes merge by
+    cell index and each cell re-simulates from its own seed, a resumed
+    campaign is byte-identical to an uninterrupted one at any
+    [jobs]. *)
 
 exception Worker_killed of { cell : int }
 (** Raised by the {!sabotage} fault injector to model a worker dying
@@ -31,7 +32,8 @@ exception Worker_killed of { cell : int }
 type stats = {
   deadline_hits : int;  (** attempts that exhausted their event budget *)
   retries : int;  (** attempts beyond the first *)
-  backoff_ms : int;  (** total real time slept before retries *)
+  backoff_ms : int;
+      (** always 0: retries run at once; kept for callers that read it *)
   quarantined : int;  (** cells that failed every attempt *)
   resumed_cells : int;  (** cells restored from a manifest *)
   checkpoint_flushes : int;  (** manifest flushes (one per wave) *)
@@ -48,8 +50,6 @@ type config = {
       (** per-cell simulated-event budget for attempt 1; [None]
           disables deadlines *)
   max_attempts : int;  (** total tries per cell before quarantine *)
-  backoff_base_ms : float;  (** sleep before attempt 2 *)
-  backoff_cap_ms : float;  (** backoff ceiling *)
   relax_factor : int;
       (** budget multiplier per retry, so deterministic deadline
           failures get real headroom before quarantine *)
@@ -60,15 +60,15 @@ type config = {
 }
 
 val default_config : config
-(** No deadline, 3 attempts, 25ms base doubling to a 1s cap, 8x
-    budget relaxation per retry, default wave size. *)
+(** No deadline, 3 attempts, 8x budget relaxation per retry, default
+    wave size. *)
 
 type sabotage = {
   kill_cell : int option;
       (** raise {!Worker_killed} on this cell's first attempt *)
   poison_cell : int option;
-      (** corrupt this cell's store entry right after its checkpoint
-          flush, so a resume must heal it *)
+      (** checkpoint a payload line for this cell that fails to
+          decode, so a resume must heal it *)
   force_deadline_cell : int option;
       (** pin this cell to a 1-event budget on {e every} attempt: a
           deterministic deadline failure that must end in quarantine *)
@@ -81,7 +81,7 @@ val no_sabotage : sabotage
 type 'a cell = {
   key : string;  (** content-addressed payload key *)
   simulate : unit -> 'a;  (** deterministic; safe to re-run *)
-  encode : 'a -> string;  (** exact codec for the store tier *)
+  encode : 'a -> string;  (** exact codec for the manifest's payloads *)
   decode : string -> 'a option;
 }
 
@@ -107,31 +107,31 @@ val run :
   ?jobs:int ->
   ?spec:string ->
   ?manifest_dir:string ->
-  ?store_dir:string ->
   ?sabotage:sabotage ->
   ?should_stop:(completed:int -> bool) ->
   'a cell array ->
   'a report
 (** Drive every cell to an outcome.
 
-    [spec] (a single line) turns on checkpointing: payloads flush to
-    the store under each cell's key, completion lines to the manifest
-    at [manifest_dir] (default [<store_dir>/campaigns]), once per
-    wave.  A pre-existing manifest whose id matches restores its
-    settled cells — a restored [Done] requires the store payload to
-    still decode (a poisoned entry heals by re-simulation), and under
-    {!Repcache.Cache.Verify} mode each restored cell is re-simulated
-    and compared, raising {!Repcache.Cache.Verify_mismatch} on
-    divergence.  Quarantined cells are restored as-is.
+    [spec] (a single line) turns on checkpointing: each wave's
+    payload and completion lines are appended to the manifest in
+    [manifest_dir] (default: [campaigns] under {!Repcache.Cache.dir})
+    and flushed once.  A pre-existing manifest whose id matches restores
+    its settled cells — a restored [Done] requires its payload line to
+    still decode (a torn or poisoned payload heals by re-simulation),
+    and under {!Repcache.Cache.Verify} mode each restored cell is
+    re-simulated and compared, raising
+    {!Repcache.Cache.Verify_mismatch} on divergence.  Quarantined
+    cells are restored as-is.
 
     [should_stop] is polled on the main domain between waves; when it
     returns [true] the run flushes what settled and returns with
     [interrupted = true].  At most one wave (~8*[jobs] cells) of work
     is lost to an interrupt.
 
-    [store_dir] defaults to {!Repcache.Cache.dir}; checkpointing works
-    regardless of the {!Repcache.Cache.mode} (the memo tier is not
-    involved).
+    Checkpointing works regardless of the {!Repcache.Cache.mode}:
+    neither the memo nor the disk tier of the cache is involved.
 
     @raise Invalid_argument if [max_attempts < 1] or
-    [relax_factor < 1]. *)
+    [relax_factor < 1].
+    @raise Sys_error if the manifest cannot be created or written. *)

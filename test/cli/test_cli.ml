@@ -15,11 +15,12 @@ let check name ok =
     Printf.printf "FAIL %s\n" name
   end
 
-(* Exit code and captured stderr of [wtcp args], stdout discarded. *)
-let run_wtcp args =
+(* Exit code and captured stderr of [wtcp args], stdout discarded;
+   [prefix] runs first in the same shell (a ulimit, say). *)
+let run_wtcp ?(prefix = "") args =
   let err = Filename.temp_file "wtcp_cli" ".err" in
   let cmd =
-    Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote wtcp) args
+    Printf.sprintf "%s%s %s >/dev/null 2>%s" prefix (Filename.quote wtcp) args
       (Filename.quote err)
   in
   let code = Sys.command cmd in
@@ -147,6 +148,12 @@ let () =
     | _ | (exception Sys_error _) -> None
   in
   check "supervised chaos left exactly one manifest" (manifest <> None);
+  let slurp p =
+    let ic = open_in_bin p in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
   (match manifest with
   | None -> ()
   | Some path ->
@@ -157,12 +164,6 @@ let () =
               (Filename.quote path)))
     in
     check (Printf.sprintf "resume exits 0 (got %d)" code) (code = 0);
-    let slurp p =
-      let ic = open_in_bin p in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    in
     check "resume JSON byte-identical to supervised run"
       (slurp json_a = slurp json_b));
   Sys.remove json_a;
@@ -171,4 +172,54 @@ let () =
   check
     (Printf.sprintf "resume on a missing manifest exits 1 (got %d)" code)
     (code = 1);
+  (* A header's cell count must not size memory: a huge count is
+     refused (exit 1) against the count its spec builds, with or
+     without an address-space cap. *)
+  (match manifest with
+  | None -> ()
+  | Some path ->
+    let forge cells =
+      let lines = String.split_on_char '\n' (slurp path) in
+      let forged = Filename.temp_file "wtcp_cli" ".manifest" in
+      let oc = open_out_bin forged in
+      output_string oc
+        (String.concat "\n"
+           (List.map
+              (fun l ->
+                if String.length l > 6 && String.sub l 0 6 = "cells " then
+                  "cells " ^ cells
+                else l)
+              lines));
+      close_out oc;
+      forged
+    in
+    List.iter
+      (fun (cells, prefix) ->
+        let forged = forge cells in
+        let code, err =
+          run_wtcp ~prefix ("resume " ^ Filename.quote forged)
+        in
+        Sys.remove forged;
+        check
+          (Printf.sprintf "resume on a %s%s-cell header exits 1 (got %d)"
+             (if prefix = "" then "" else "capped ")
+             cells code)
+          (code = 1 && contains err "wtcp: cannot resume"))
+      [
+        ("4611686018427387903", "");
+        ("2000000000", "ulimit -v 4000000; ");
+      ]);
+  (* A campaign whose checkpoint directory cannot be created fails up
+     front with a message, not an uncaught exception. *)
+  let not_a_dir = Filename.temp_file "wtcp_cli" ".file" in
+  let code, err =
+    run_wtcp
+      (Printf.sprintf "chaos --plans 2 --supervised --cache-dir %s"
+         (Filename.quote not_a_dir))
+  in
+  Sys.remove not_a_dir;
+  check
+    (Printf.sprintf "supervised chaos into an unwritable cache dir exits 1 \
+                     (got %d)" code)
+    (code = 1 && contains err "wtcp: cannot checkpoint campaign");
   if !failures > 0 then exit 1

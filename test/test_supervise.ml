@@ -1,8 +1,9 @@
 (* Tests for the supervised campaign runner: the manifest codec
-   (torn-tail tolerance included), deadline enforcement through the
-   simulator's event budget, retry tiers that rescue transient
-   deadline misses, quarantine of deterministic failures, the
-   sabotage injectors (killed worker, poisoned checkpoint), and the
+   (torn-tail tolerance and payload round-trips included), deadline
+   enforcement through the simulator's event budget, retry tiers that
+   rescue transient deadline misses, quarantine of deterministic
+   failures, the sabotage injectors (killed worker, poisoned
+   checkpoint), the manifest as a campaign's only file, and the
    headline contract — an interrupted-and-resumed campaign is
    byte-identical to an uninterrupted one at any jobs, pinned by a
    qcheck property that kills at a random cell index.
@@ -53,13 +54,13 @@ let test_manifest_roundtrip () =
     Alcotest.(check string) "id" "abc123" m.Campaign_manifest.header.id;
     Alcotest.(check string) "spec" spec m.Campaign_manifest.header.spec;
     Alcotest.(check int) "cells" 4 m.Campaign_manifest.header.cells;
-    (match m.Campaign_manifest.entries.(0) with
+    (match Hashtbl.find_opt m.Campaign_manifest.entries 0 with
     | Some (Campaign_manifest.Done { key }) ->
       Alcotest.(check string) "done key" "deadbeef" key
     | _ -> Alcotest.fail "cell 0 not Done");
     Alcotest.(check bool) "cell 1 unsettled" true
-      (m.Campaign_manifest.entries.(1) = None);
-    (match m.Campaign_manifest.entries.(2) with
+      (Hashtbl.find_opt m.Campaign_manifest.entries 1 = None);
+    (match Hashtbl.find_opt m.Campaign_manifest.entries 2 with
     | Some (Campaign_manifest.Quarantined { attempts; error }) ->
       Alcotest.(check int) "attempts" 3 attempts;
       Alcotest.(check bool) "error text survives encoding" true
@@ -89,10 +90,37 @@ let test_manifest_torn_tail () =
   | Error msg -> Alcotest.failf "torn load failed: %s" msg
   | Ok m ->
     Alcotest.(check bool) "cell 0 survives" true
-      (m.Campaign_manifest.entries.(0)
+      (Hashtbl.find_opt m.Campaign_manifest.entries 0
       = Some (Campaign_manifest.Done { key = "k0" }));
     Alcotest.(check bool) "torn cell 1 dropped" true
-      (m.Campaign_manifest.entries.(1) = None));
+      (Hashtbl.find_opt m.Campaign_manifest.entries 1 = None));
+  (* Tear inside a payload line: that cell keeps neither its payload
+     nor a done entry, the cell before it keeps both. *)
+  let t = Campaign_manifest.create ~path ~id:"torn" ~spec:"spec x=1" ~cells:3 in
+  Campaign_manifest.append_payload t ~key:"k0" "payload zero";
+  Campaign_manifest.append t ~idx:0 (Campaign_manifest.Done { key = "k0" });
+  Campaign_manifest.append_payload t ~key:"k1" "payload one";
+  Campaign_manifest.append t ~idx:1 (Campaign_manifest.Done { key = "k1" });
+  Campaign_manifest.flush t;
+  Campaign_manifest.close t;
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  let rec find i =
+    if String.sub full i 8 = "data k1 " then i else find (i + 1)
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub full 0 (find 0 + 12)));
+  (match Campaign_manifest.load ~path with
+  | Error msg -> Alcotest.failf "payload-torn load failed: %s" msg
+  | Ok m ->
+    Alcotest.(check (option string)) "payload 0 survives" (Some "payload zero")
+      (Hashtbl.find_opt m.Campaign_manifest.payloads "k0");
+    Alcotest.(check bool) "cell 0 survives" true
+      (Hashtbl.find_opt m.Campaign_manifest.entries 0
+      = Some (Campaign_manifest.Done { key = "k0" }));
+    Alcotest.(check (option string)) "torn payload 1 dropped" None
+      (Hashtbl.find_opt m.Campaign_manifest.payloads "k1");
+    Alcotest.(check bool) "cell 1 not done" true
+      (Hashtbl.find_opt m.Campaign_manifest.entries 1 = None));
   (* A manifest minted by another engine version is refused whole. *)
   let oc = open_out_bin path in
   output_string oc "wtcp-campaign wtcp-engine-0.0.1\nid torn\nspec spec \
@@ -101,6 +129,25 @@ let test_manifest_torn_tail () =
   match Campaign_manifest.load ~path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stale engine version accepted"
+
+(* Any byte string survives a written and loaded payload line; the
+   generator leans on the bytes the line format itself uses. *)
+let qcheck_payload_roundtrip =
+  let special = QCheck.Gen.oneofl [ '\n'; '%'; ' '; '\r'; '\000' ] in
+  QCheck.Test.make ~count:200 ~name:"payload line round-trips any bytes"
+    QCheck.(
+      string_gen_of_size Gen.(0 -- 64)
+        Gen.(frequency [ (1, special); (2, char) ]))
+    (fun payload ->
+      with_dirs @@ fun ~store:_ ~manifests ->
+      let path = Campaign_manifest.path ~dir:manifests ~id:"bytes" in
+      let t = Campaign_manifest.create ~path ~id:"bytes" ~spec:"s" ~cells:1 in
+      Campaign_manifest.append_payload t ~key:"k" payload;
+      Campaign_manifest.append t ~idx:0 (Campaign_manifest.Done { key = "k" });
+      Campaign_manifest.close t;
+      match Campaign_manifest.load ~path with
+      | Ok m -> Hashtbl.find_opt m.Campaign_manifest.payloads "k" = Some payload
+      | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor core                                                     *)
@@ -162,7 +209,6 @@ let test_deadline_quarantine () =
       Supervisor.deadline_events = Some 4;
       max_attempts = 2;
       relax_factor = 2;
-      backoff_base_ms = 1.0;
     }
   in
   let cells = Array.init 2 (sim_cell ~events:10) in
@@ -190,11 +236,7 @@ let test_relaxed_budget_rescues () =
      attempt 2 (budget 32) succeeds — retry tiers rescue cells the
      base deadline is too tight for. *)
   let config =
-    {
-      Supervisor.default_config with
-      Supervisor.deadline_events = Some 4;
-      backoff_base_ms = 1.0;
-    }
+    { Supervisor.default_config with Supervisor.deadline_events = Some 4 }
   in
   let cells = Array.init 3 (sim_cell ~events:10) in
   let r = Supervisor.run ~config cells in
@@ -210,13 +252,10 @@ let test_relaxed_budget_rescues () =
 let test_kill_sabotage_recovers () =
   let cells = Array.init 4 sim_cell in
   let expect = Array.map (fun c -> c.Supervisor.simulate ()) cells in
-  let config =
-    { Supervisor.default_config with Supervisor.backoff_base_ms = 1.0 }
-  in
   let sabotage =
     { Supervisor.no_sabotage with Supervisor.kill_cell = Some 2 }
   in
-  let r = Supervisor.run ~config ~sabotage cells in
+  let r = Supervisor.run ~sabotage cells in
   Alcotest.(check int) "none quarantined" 0 r.Supervisor.quarantined;
   Array.iteri
     (fun i o ->
@@ -225,57 +264,67 @@ let test_kill_sabotage_recovers () =
       | _ -> Alcotest.fail "expected Done")
     r.Supervisor.outcomes
 
+(* Rewrite the manifest's payload line for [key] to carry [payload]
+   verbatim. *)
+let rewrite_payload path ~key payload =
+  let prefix = "data " ^ key ^ " " in
+  let n = String.length prefix in
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (String.concat "\n"
+           (List.map
+              (fun l ->
+                if String.length l >= n && String.sub l 0 n = prefix then
+                  prefix ^ payload
+                else l)
+              lines)))
+
 let test_checkpoint_resume_and_poison_heal () =
-  with_dirs @@ fun ~store ~manifests ->
+  with_dirs @@ fun ~store:_ ~manifests ->
   let spec = "test cells=8" in
   let cells () = Array.init 8 sim_cell in
-  let full =
-    Supervisor.run ~spec ~store_dir:store ~manifest_dir:manifests (cells ())
-  in
+  let full = Supervisor.run ~spec ~manifest_dir:manifests (cells ()) in
   Alcotest.(check int) "first run simulates all" 8 full.Supervisor.completed;
   (* Same campaign again: everything restores, nothing simulates. *)
-  let again =
-    Supervisor.run ~spec ~store_dir:store ~manifest_dir:manifests (cells ())
-  in
+  let again = Supervisor.run ~spec ~manifest_dir:manifests (cells ()) in
   Alcotest.(check int) "resume simulates nothing" 0 again.Supervisor.completed;
   Alcotest.(check int) "resume restores all" 8 again.Supervisor.resumed;
   Alcotest.(check bool) "outcomes identical" true
     (full.Supervisor.outcomes = again.Supervisor.outcomes);
-  (* Poison one store entry: the resume heals it by re-simulating just
-     that cell. *)
-  let poisoned_key = (cells ()).(3).Supervisor.key in
-  let oc =
-    open_out_bin (Cache_store.entry_path ~dir:store ~key:poisoned_key)
-  in
-  output_string oc "garbage";
-  close_out oc;
-  let healed =
-    Supervisor.run ~spec ~store_dir:store ~manifest_dir:manifests (cells ())
-  in
+  (* Poison cell 3's payload line: the resume heals it by
+     re-simulating just that cell. *)
+  rewrite_payload
+    (Option.get full.Supervisor.manifest_path)
+    ~key:(cells ()).(3).Supervisor.key "garbage";
+  let healed = Supervisor.run ~spec ~manifest_dir:manifests (cells ()) in
   Alcotest.(check int) "one cell re-simulated" 1 healed.Supervisor.completed;
   Alcotest.(check int) "seven restored" 7 healed.Supervisor.resumed;
   Alcotest.(check bool) "healed outcomes identical" true
     (full.Supervisor.outcomes = healed.Supervisor.outcomes)
 
 let test_verify_mismatch_on_resume () =
-  with_dirs @@ fun ~store ~manifests ->
+  with_dirs @@ fun ~store:_ ~manifests ->
   let spec = "test cells=2" in
   let cells () = Array.init 2 sim_cell in
-  ignore
-    (Supervisor.run ~spec ~store_dir:store ~manifest_dir:manifests (cells ()));
-  (* Overwrite a checkpoint with a VALID but wrong payload: only
-     verify mode can catch this. *)
+  let first = Supervisor.run ~spec ~manifest_dir:manifests (cells ()) in
+  (* Append a VALID but wrong payload line for cell 1, which the load
+     prefers over the true one: only verify mode can catch this. *)
   let key = (cells ()).(1).Supervisor.key in
-  Cache_store.put ~dir:store ~key (string_of_int 999_999);
+  let m =
+    Campaign_manifest.open_append ~path:(Option.get first.Supervisor.manifest_path)
+  in
+  Campaign_manifest.append_payload m ~key (string_of_int 999_999);
+  Campaign_manifest.close m;
   Fun.protect
     ~finally:(fun () ->
       Cache.set_mode Cache.Off;
       Cache.reset_stats ())
     (fun () ->
       Cache.set_mode Cache.Verify;
-      match
-        Supervisor.run ~spec ~store_dir:store ~manifest_dir:manifests (cells ())
-      with
+      match Supervisor.run ~spec ~manifest_dir:manifests (cells ()) with
       | exception Cache.Verify_mismatch { key = k; _ } ->
         Alcotest.(check string) "mismatch names the entry" key k
       | _ -> Alcotest.fail "verify mode accepted a forged checkpoint")
@@ -358,7 +407,7 @@ let test_campaign_forced_deadline () =
       ~sabotage:
         { Supervisor.no_sabotage with Supervisor.force_deadline_cell = Some 0 }
       ~options:
-        { Campaigns.default_options with Campaigns.retries = 2; backoff_ms = 1.0 }
+        { Campaigns.default_options with Campaigns.retries = 2 }
       (chaos_kind 4)
   in
   Alcotest.(check int) "one quarantined" 1 r.Campaigns.quarantined;
@@ -399,6 +448,84 @@ let test_compare_campaign_runs () =
       (String.split_on_char '\n' r.Campaigns.rendered)
   in
   Alcotest.(check int) "7 report lines" 7 (List.length lines)
+
+(* Every file under [dir], relative to it. *)
+let rec files_under dir =
+  List.concat_map
+    (fun f ->
+      let p = Filename.concat dir f in
+      if Sys.is_directory p then
+        List.map (Filename.concat f) (files_under p)
+      else [ f ])
+    (Array.to_list (Sys.readdir dir))
+
+let test_campaign_writes_only_manifest () =
+  with_dirs @@ fun ~store ~manifests:_ ->
+  let r =
+    Campaigns.run ~store_dir:store ~options:Campaigns.default_options
+      (chaos_kind 4)
+  in
+  Alcotest.(check int) "all settled" 4 r.Campaigns.completed;
+  Alcotest.(check (list string)) "one file, the manifest"
+    [
+      Filename.concat "campaigns"
+        (Filename.basename (Option.get r.Campaigns.manifest_path));
+    ]
+    (files_under store)
+
+let test_manifest_alone_resumes () =
+  with_dirs @@ fun ~store ~manifests ->
+  let opts = Campaigns.default_options in
+  let reference = Campaigns.run ~store_dir:store ~options:opts (chaos_kind 5) in
+  (* Copy the manifest alone next to nothing, and resume from an empty
+     store directory. *)
+  let src = Option.get reference.Campaigns.manifest_path in
+  Sys.mkdir manifests 0o755;
+  Out_channel.with_open_bin
+    (Filename.concat manifests (Filename.basename src))
+    (fun oc ->
+      output_string oc (In_channel.with_open_bin src In_channel.input_all));
+  let empty = Filename.concat (Filename.dirname store) "empty" in
+  let resumed =
+    Campaigns.run ~store_dir:empty ~manifest_dir:manifests
+      ~options:{ opts with Campaigns.resume = true }
+      (chaos_kind 5)
+  in
+  Alcotest.(check int) "nothing simulated" 0 resumed.Campaigns.completed;
+  Alcotest.(check int) "everything restored" resumed.Campaigns.total
+    resumed.Campaigns.resumed;
+  Alcotest.(check string) "rendered identical" reference.Campaigns.rendered
+    resumed.Campaigns.rendered;
+  Alcotest.(check bool) "json identical" true
+    (reference.Campaigns.json = resumed.Campaigns.json);
+  Alcotest.(check bool) "store dir untouched" false (Sys.file_exists empty)
+
+let test_cell_count () =
+  with_dirs @@ fun ~store ~manifests:_ ->
+  List.iter
+    (fun kind ->
+      (* Interrupted before the first wave: cells are built, none run. *)
+      let r =
+        Campaigns.run ~store_dir:store ~should_stop:(fun ~completed:_ -> true)
+          ~options:Campaigns.default_options kind
+      in
+      Alcotest.(check int) (Campaigns.spec_string kind) r.Campaigns.total
+        (Campaigns.cell_count kind))
+    [
+      chaos_kind 7;
+      Campaigns.Compare
+        {
+          preset = Campaigns.Lan;
+          packet_size = None;
+          bad = None;
+          good = None;
+          file = None;
+          seed = 1;
+          replications = 3;
+          cc = Tcp_config.Tahoe;
+        };
+      Campaigns.Advisor { bads = [ 1.0; 4.0 ]; replications = 2 };
+    ]
 
 (* The headline acceptance property: a chaos campaign killed at a
    random cell index and resumed produces byte-identical reports to
@@ -443,6 +570,7 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "torn tail and stale engine" `Quick
             test_manifest_torn_tail;
+          qc qcheck_payload_roundtrip;
         ] );
       ( "supervisor",
         [
@@ -468,6 +596,12 @@ let () =
             test_campaign_forced_deadline;
           Alcotest.test_case "supervised compare report" `Slow
             test_compare_campaign_runs;
+          Alcotest.test_case "campaign writes only its manifest" `Quick
+            test_campaign_writes_only_manifest;
+          Alcotest.test_case "manifest alone resumes" `Quick
+            test_manifest_alone_resumes;
+          Alcotest.test_case "cell_count matches built cells" `Quick
+            test_cell_count;
           qc qcheck_kill_resume_identity;
         ] );
     ]
