@@ -16,6 +16,28 @@ open Cmdliner
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Strict-flag convention: a custom conv makes a malformed or
+   out-of-range value a cmdliner parse error, which exits 124 like an
+   unknown flag, instead of an engine [Invalid_argument] later. *)
+let checked_conv of_string print ~expected ok =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, print)
+
+let positive_int_conv =
+  checked_conv int_of_string_opt Format.pp_print_int
+    ~expected:"a positive integer" (fun n -> n >= 1)
+
+let finite_float_conv ~expected ok =
+  checked_conv float_of_string_opt Format.pp_print_float ~expected (fun x ->
+      Float.is_finite x && ok x)
+
+let positive_float_conv =
+  finite_float_conv ~expected:"a finite positive number" (fun x -> x > 0.0)
+
 type preset = Wan | Lan
 
 let preset_conv =
@@ -68,7 +90,11 @@ let scheme_arg =
 let packet_size_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt
+        (some
+           (checked_conv int_of_string_opt Format.pp_print_int
+              ~expected:"more than the 40-byte header" (fun n -> n > 40)))
+        None
     & info [ "packet-size" ] ~docv:"BYTES"
         ~doc:"Wired-network packet size incl. 40-byte header (default: \
               576 WAN, 1536 LAN).")
@@ -76,21 +102,21 @@ let packet_size_arg =
 let bad_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float_conv) None
     & info [ "bad" ] ~docv:"SEC"
         ~doc:"Mean bad-period length in seconds (default: 4 WAN, 1 LAN).")
 
 let good_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float_conv) None
     & info [ "good" ] ~docv:"SEC"
         ~doc:"Mean good-period length in seconds (default: 10 WAN, 4 LAN).")
 
 let file_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int_conv) None
     & info [ "file" ] ~docv:"BYTES"
         ~doc:"Transfer size in bytes (default: 100KB WAN, 4MB LAN).")
 
@@ -236,18 +262,6 @@ let scenario_term =
 (* Supervised-campaign flags (compare / advisor / chaos / resume)      *)
 (* ------------------------------------------------------------------ *)
 
-(* Strict-flag convention: a custom conv makes a malformed or
-   out-of-range value a cmdliner parse error, which exits 124 like an
-   unknown flag. *)
-let positive_int_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let supervised_arg =
   Arg.(
     value & flag
@@ -312,6 +326,14 @@ let json_arg =
         ~doc:"Write the campaign report as JSON to $(docv) (atomic \
               temp-file + rename).")
 
+(* Every file the CLI writes goes through here: an unwritable path is
+   a user error (exit 1 with a message), not an uncaught [Sys_error]. *)
+let write_output ~path contents =
+  try Core.Report.write_atomic ~path contents
+  with Sys_error msg ->
+    Printf.eprintf "wtcp: cannot write %s: %s\n" path msg;
+    exit 1
+
 (* SIGINT/SIGTERM set a flag the supervisor polls between waves, so an
    interrupt flushes the manifest and partial report instead of
    killing the process mid-write. *)
@@ -342,7 +364,7 @@ let run_supervised ?(exit_on_fail = false) ?manifest_dir ~jobs ~json options
     print_string report.Core.Campaigns.rendered;
     (match (json, report.Core.Campaigns.json) with
     | Some path, Some doc ->
-      Core.Report.write_atomic ~path doc;
+      write_output ~path doc;
       Printf.printf "json: %s\n" path
     | _ -> ());
     Printf.printf "supervisor: %d/%d cells settled (%d resumed, %d \
@@ -469,7 +491,7 @@ let run_cmd =
     let write_file label path contents =
       match path, contents with
       | Some path, Some data ->
-        Core.Report.write_atomic ~path data;
+        write_output ~path data;
         Printf.printf "%-11s %s\n" (label ^ ":") path
       | _ -> ()
     in
@@ -490,7 +512,7 @@ let run_cmd =
 let trace_cmd =
   let window_arg =
     Arg.(
-      value & opt float 60.0
+      value & opt positive_float_conv 60.0
       & info [ "window" ] ~docv:"SEC" ~doc:"Plotted window in seconds.")
   in
   let action preset scheme packet_size bad good file seed window =
@@ -519,13 +541,13 @@ let advisor_cmd =
   let bads_arg =
     Arg.(
       value
-      & opt (list float) [ 1.0; 2.0; 3.0; 4.0 ]
+      & opt (list positive_float_conv) [ 1.0; 2.0; 3.0; 4.0 ]
       & info [ "bad-periods" ] ~docv:"SECS"
           ~doc:"Comma-separated mean bad-period lengths to tabulate.")
   in
   let reps_arg =
     Arg.(
-      value & opt int 5
+      value & opt positive_int_conv 5
       & info [ "replications" ] ~docv:"N" ~doc:"Runs per data point.")
   in
   let action () bads replications jobs supervise =
@@ -582,7 +604,7 @@ let theory_cmd =
 let compare_cmd =
   let reps_arg =
     Arg.(
-      value & opt int 5
+      value & opt positive_int_conv 5
       & info [ "replications" ] ~docv:"N" ~doc:"Runs per scheme.")
   in
   let action () cc preset packet_size bad good file seed replications jobs
@@ -635,12 +657,16 @@ let compare_cmd =
 let handoff_cmd =
   let blackout_arg =
     Arg.(
-      value & opt float 0.5
+      value
+      & opt
+          (finite_float_conv ~expected:"a finite non-negative number"
+             (fun x -> x >= 0.0))
+          0.5
       & info [ "blackout" ] ~docv:"SEC" ~doc:"Handoff blackout length.")
   in
   let residence_arg =
     Arg.(
-      value & opt float 8.0
+      value & opt positive_float_conv 8.0
       & info [ "residence" ] ~docv:"SEC" ~doc:"Cell residence time.")
   in
   let action cc blackout residence seed jobs =
@@ -680,7 +706,7 @@ let handoff_cmd =
 let csdp_cmd =
   let conns_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int_conv 2
       & info [ "connections" ] ~docv:"N" ~doc:"Connections sharing the radio.")
   in
   let action n_conns seed jobs =
@@ -716,7 +742,7 @@ let csdp_cmd =
 let chaos_cmd =
   let plans_arg =
     Arg.(
-      value & opt int 50
+      value & opt positive_int_conv 50
       & info [ "plans" ] ~docv:"N"
           ~doc:"Number of seeded fault plans in the campaign.")
   in
@@ -745,7 +771,7 @@ let chaos_cmd =
       print_string (Core.Chaos.render results);
       (match json_path with
       | Some path ->
-        Core.Report.write_atomic ~path (Core.Chaos.to_json results);
+        write_output ~path (Core.Chaos.to_json results);
         Printf.printf "json: %s\n" path
       | None -> ());
       if not (Core.Chaos.ok results) then exit 1

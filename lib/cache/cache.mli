@@ -1,9 +1,8 @@
 (** Replication cache front-end: mode, memo tier, disk tier, stats.
 
-    The cache is {e off} by default — benches that compare jobs=1
+    The cache is {e off} by default — benchmarks that compare jobs=1
     against jobs=N runs rely on each invocation actually simulating,
-    so caching is strictly opt-in via the CLI flags, the bench
-    [cache] target, or {!set_mode}.
+    so caching is strictly opt-in via the CLI flags or {!set_mode}.
 
     Payloads are opaque strings (the encoded measurement); the cache
     never interprets them, it only guarantees that what comes back is

@@ -139,9 +139,9 @@ let add_fault_action b (action : Faults.Plan.action) =
   | Faults.Plan.Handoff { blackout } ->
     pf b "handoff[%dns]" (Simtime.span_to_ns blackout)
 
-(* The empty plan and "no fault machinery" render identically: the
-   chaos bench pins that a run under the empty plan is byte-identical
-   to a plain run, so the two cells really are the same cell. *)
+(* The empty plan and "no fault machinery" render identically: tests
+   pin that a run under the empty plan is byte-identical to a plain
+   run, so the two cells really are the same cell. *)
 let add_faults b plan =
   match plan with
   | None -> pf b "\nfaults none"

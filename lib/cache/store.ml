@@ -12,6 +12,13 @@ let header () = Printf.sprintf "%s %s\n" magic Fingerprint.engine_version
 let footer = "end\n"
 
 let subdir_of_key key = if String.length key >= 2 then String.sub key 0 2 else "xx"
+
+(* Every name [subdir_of_key] returns.  Only these directories hold
+   entries; anything else under the cache dir (the campaign manifests
+   under [campaigns/]) belongs to someone else, so the maintenance
+   walk neither counts nor removes it. *)
+let is_key_subdir sub = String.length sub = 2
+
 let path_of_key ~dir ~key = Filename.concat (Filename.concat dir (subdir_of_key key)) key
 
 let read_file path =
@@ -150,7 +157,7 @@ let iter_files ~dir f =
     Array.iter
       (fun sub ->
         let subpath = Filename.concat dir sub in
-        if is_directory subpath then
+        if is_key_subdir sub && is_directory subpath then
           Array.iter
             (fun file -> f (Filename.concat subpath file))
             (try Sys.readdir subpath with Sys_error _ -> [||]))

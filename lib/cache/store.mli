@@ -28,8 +28,10 @@ type stats = {
 }
 
 val stats : dir:string -> stats
-(** Classify every file under [dir].  A missing directory is an
-    empty cache.  Entries that cannot be read count as corrupt;
+(** Classify every file in the key-prefix directories under [dir];
+    other subdirectories (the campaign manifests under [campaigns/])
+    are not the cache's and are never walked.  A missing directory
+    is an empty cache.  Entries that cannot be read count as corrupt;
     entries or subdirectories that vanish mid-walk are skipped — the
     walk never aborts on a damaged tree. *)
 
@@ -41,9 +43,9 @@ type sweep = {
 
 val clear : dir:string -> sweep
 (** Remove every cache file (valid, stale, corrupt and leftover
-    temporaries).  Undeletable files are counted in [skipped], never
-    raised on: a damaged tree degrades the sweep, it does not abort
-    it. *)
+    temporaries) in the directories {!stats} walks.  Undeletable files
+    are counted in [skipped], never raised on: a damaged tree degrades
+    the sweep, it does not abort it. *)
 
 val prune : dir:string -> sweep
 (** Remove only stale, corrupt and leftover temporary files, keeping

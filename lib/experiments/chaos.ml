@@ -314,7 +314,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let to_json ?(extra = []) results =
+let to_json results =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b
@@ -345,10 +345,6 @@ let to_json ?(extra = []) results =
             Printf.sprintf "\"%s\": %d" (Error_model.Fault.kind_name kind) n)
           (injected_totals results)));
   Buffer.add_string b "},\n";
-  List.iter
-    (fun (key, value) ->
-      Buffer.add_string b (Printf.sprintf "  \"%s\": %s,\n" key value))
-    extra;
   Buffer.add_string b "  \"runs\": [\n";
   let total = List.length results in
   List.iteri

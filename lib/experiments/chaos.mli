@@ -7,8 +7,8 @@
     is that {e every} run ends in a well-defined state: either the
     transfer completed, or it degraded (horizon hit) — never an
     uncaught exception, and never an invariant violation when checked
-    mode is on.  Shared by [wtcp chaos] and the [chaos] bench
-    target. *)
+    mode is on.  Shared by [wtcp chaos] and the supervised chaos
+    campaign. *)
 
 type spec = {
   index : int;
@@ -68,11 +68,9 @@ val render : run_result list -> string
 (** Human-readable summary: headline counts, per-kind injected-fault
     totals, and one line per non-clean run with its plan. *)
 
-val to_json : ?extra:(string * string) list -> run_result list -> string
+val to_json : run_result list -> string
 (** The campaign as a JSON document (summary plus one record per
-    run).  [extra] key/raw-value pairs are spliced into the top-level
-    object — the bench target records its identity-check results
-    there. *)
+    run). *)
 
 val injected_totals : run_result list -> (Error_model.Fault.kind * int) list
 (** Applied-fault counts summed across runs, omitting kinds that

@@ -104,7 +104,8 @@ let generate ~seed ~window =
   { seed; events }
 
 (* Process-wide default, mirroring [Obs.Config.set_default]: written
-   once before worker domains spawn, then read-only. *)
+   between runs, read by every run; the pool's task handoff publishes
+   it to worker domains. *)
 let default_plan = ref None
 let set_default p = default_plan := p
 let default () = !default_plan

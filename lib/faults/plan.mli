@@ -78,9 +78,10 @@ val to_string : t -> string
 
     Mirrors [Obs.Config.set_default]: lets a harness thread a plan
     into every run started without an explicit [?faults] argument
-    (used by the bench identity check to push the empty plan through
-    an unmodified sweep pipeline).  Set it once before worker domains
-    spawn; it is read-only after that. *)
+    (the figure pin test pushes the empty plan through an unmodified
+    sweep pipeline this way).  Set it between runs, never while one is
+    in flight; the pool's task handoff publishes it to worker
+    domains. *)
 
 val set_default : t option -> unit
 val default : unit -> t option

@@ -19,8 +19,8 @@ let () =
       Some (Printf.sprintf "Supervisor.Worker_killed(cell %d)" cell)
     | _ -> None)
 
-(* Process-lifetime counters.  Cumulative like the pool's: tests
-   measure deltas, benches reset. *)
+(* Process-lifetime counters.  Cumulative like the pool's: callers
+   measure deltas. *)
 let deadline_hits_total = Atomic.make 0
 let retries_total = Atomic.make 0
 let quarantined_total = Atomic.make 0
@@ -45,22 +45,6 @@ let stats () =
     resumed_cells = Atomic.get resumed_total;
     checkpoint_flushes = Atomic.get flushes_total;
   }
-
-let reset_stats () =
-  Atomic.set deadline_hits_total 0;
-  Atomic.set retries_total 0;
-  Atomic.set quarantined_total 0;
-  Atomic.set resumed_total 0;
-  Atomic.set flushes_total 0
-
-let record_metrics registry =
-  let c name v = Obs.Registry.add (Obs.Registry.counter registry name) v in
-  let s = stats () in
-  c "engine.supervisor.deadline_hits" s.deadline_hits;
-  c "engine.supervisor.retries" s.retries;
-  c "engine.supervisor.quarantined" s.quarantined;
-  c "engine.supervisor.resumed_cells" s.resumed_cells;
-  c "engine.supervisor.checkpoint_flushes" s.checkpoint_flushes
 
 type config = {
   deadline_events : int option;

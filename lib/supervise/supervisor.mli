@@ -26,8 +26,7 @@ exception Worker_killed of { cell : int }
 
 (** {1 Metrics}
 
-    Process-cumulative counters, mirrored into an {!Obs.Registry} as
-    [engine.supervisor.*] by {!record_metrics}. *)
+    Process-cumulative counters; callers measure deltas. *)
 
 type stats = {
   deadline_hits : int;  (** attempts that exhausted their event budget *)
@@ -40,8 +39,6 @@ type stats = {
 }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
-val record_metrics : Obs.Registry.t -> unit
 
 (** {1 Configuration} *)
 

@@ -57,11 +57,11 @@ let set_loss_threshold host =
   host.state.ssthresh <-
     Int.max (2 * host.cfg.Tcp_config.mss) (flight_bytes host / 2)
 
-(* The float operation order below is load-bearing: the byte-identity
-   gate (bench [cc]/[engine] targets) pins Tahoe-via-Cc to the
-   pre-refactor packet schedule, and changing the order of the
-   additions changes rounding.  The grown window is computed once and
-   stored once: each store into [cwnd] boxes a float. *)
+(* The float operation order below is load-bearing: the fig7/fig10 MD5
+   pins in test_experiments hold Tahoe-via-Cc to the pre-refactor
+   packet schedule, and changing the order of the additions changes
+   rounding.  The grown window is computed once and stored once: each
+   store into [cwnd] boxes a float. *)
 let grow_cwnd host =
   let st = host.state in
   let mss = float_of_int host.cfg.Tcp_config.mss in

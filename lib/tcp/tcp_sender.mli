@@ -112,7 +112,7 @@ val timer_pending : t -> bool
 val timer_counters : t -> Sim_engine.Soft_timer.counters
 (** Operation counters of the retransmission timer (arms, fused
     restarts, lazy cancels, fires, stale fires, deadline chases) —
-    for observability and the engine bench. *)
+    for observability and the benchmark's per-layer counters. *)
 
 val cc : t -> Tcp_config.cc
 (** The congestion-control variant this sender runs. *)

@@ -32,7 +32,7 @@ type outcome = {
   end_time : Sim_engine.Simtime.t;
   events_executed : int;
       (** simulator events the run executed (the denominator of the
-          bench [engine] target's events/sec) *)
+          benchmark's events/sec) *)
   queue_stats : Sim_engine.Event_queue.stats;
       (** lifetime pending-event-set counters, for the engine stats
           surface ([wtcp run --engine-stats]) *)

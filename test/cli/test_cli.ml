@@ -77,6 +77,35 @@ let () =
             (code = 124))
         [ "--deadline bogus"; "--deadline 0"; "--retries bogus"; "--retries 0" ])
     [ "compare"; "advisor"; "chaos"; "resume x.manifest" ];
+  (* Numeric flags follow it too: an out-of-range value is a parse
+     error, never an engine Invalid_argument (uncaught, exit 125). *)
+  List.iter
+    (fun args ->
+      let code, _ = run_wtcp args in
+      check (Printf.sprintf "%s exits 124 (got %d)" args code) (code = 124))
+    [
+      "run --file 0"; "run --bad 0"; "run --bad nan"; "run --good 0";
+      "run --packet-size 40"; "trace --window 0"; "theory --bad 0";
+      "compare --replications 0"; "advisor --replications 0";
+      "advisor --bad-periods 1,-1"; "csdp --connections 0";
+      "chaos --plans=-1"; "handoff --residence=-1"; "handoff --blackout=-1";
+    ];
+  let code, _ = run_wtcp "handoff --blackout 0" in
+  check (Printf.sprintf "handoff --blackout 0 exits 0 (got %d)" code) (code = 0);
+  (* An output path that cannot be written is a user error: exit 1
+     with a message naming the path. *)
+  List.iter
+    (fun args ->
+      let code, err = run_wtcp args in
+      check
+        (Printf.sprintf "%s exits 1 with a message (got %d)" args code)
+        (code = 1 && contains err "wtcp: cannot write /nonexistent/"))
+    [
+      "chaos --plans 2 --json /nonexistent/x.json";
+      "run --file 20000 --trace /nonexistent/f";
+      "run --file 20000 --metrics /nonexistent/f";
+      "run --file 20000 --nstrace /nonexistent/f";
+    ];
   let code, err = run_wtcp "frobnicate" in
   check
     (Printf.sprintf "unknown subcommand exits 124 (got %d)" code)
@@ -157,6 +186,15 @@ let () =
   (match manifest with
   | None -> ()
   | Some path ->
+    (* The manifest is not a cache entry: prune and clear keep it. *)
+    List.iter
+      (fun verb ->
+        let code, _ = run_wtcp (with_dir verb) in
+        check
+          (Printf.sprintf "%s beside a manifest exits 0 (got %d)" verb code)
+          (code = 0);
+        check (verb ^ " keeps the manifest") (Sys.file_exists path))
+      [ "cache prune"; "cache clear" ];
     let code, _ =
       run_wtcp
         (with_dir

@@ -2,10 +2,12 @@
    sensitivity (any knob perturbation changes the key, equal configs
    collide), the exact measurement codec, the version-stamped on-disk
    store (corrupt/truncated/stale entries are misses, never wrong
-   data), the cached sweep path (results byte-identical to uncached,
-   memo dedup of repeated cells), verify mode as a determinism
-   oracle, and warm-vs-cold byte-identity of the fig7/fig10 CSVs at
-   jobs=1 and jobs=4.
+   data, campaign manifests beside the entries left alone), the cached
+   sweep path (results byte-identical to uncached, memo dedup of
+   repeated cells, the cc cross table served from the cc ablation's
+   memo), verify mode as a determinism oracle, and warm-vs-cold and
+   verify-mode byte-identity of the fig7/fig10 CSVs at jobs=1 and
+   jobs=4.
 
    Cache mode is process-global, so every test that turns it on
    restores Off (the default) before returning. *)
@@ -369,6 +371,29 @@ let test_store_clear_prune () =
     "store empty after clear" true
     ((Store.stats ~dir).Store.entries = 0)
 
+(* Campaign manifests live under [<cache-dir>/campaigns/], beside the
+   cache's key-prefix directories: the maintenance verbs must neither
+   count them nor delete them. *)
+let test_store_leaves_campaigns_alone () =
+  with_cache_dir @@ fun dir ->
+  let key = String.make 32 'a' in
+  Store.put ~dir ~key "entry\n";
+  let campaigns = Filename.concat dir "campaigns" in
+  Sys.mkdir campaigns 0o755;
+  let manifest = Filename.concat campaigns "0123abcd.manifest" in
+  Out_channel.with_open_bin manifest (fun oc ->
+      output_string oc "wtcp-campaign some-engine\n");
+  let s = Store.stats ~dir in
+  Alcotest.(check (list int))
+    "one entry, nothing stale or corrupt" [ 1; 0; 0 ]
+    [ s.Store.entries; s.Store.stale; s.Store.corrupt ];
+  Alcotest.(check int) "prune removes nothing" 0 (Store.prune ~dir).Store.removed;
+  Alcotest.(check int) "clear removes only the entry" 1
+    (Store.clear ~dir).Store.removed;
+  Alcotest.(check bool) "entry gone" true (Store.get ~dir ~key = None);
+  Alcotest.(check bool) "manifest survives prune and clear" true
+    (Sys.file_exists manifest)
+
 (* Satellite regression: a damaged tree — a truncated entry next to an
    undeletable one (a directory squatting on an entry path: reads fail
    with EISDIR, and so does Sys.remove) — must degrade the walk, not
@@ -582,10 +607,40 @@ let figs_identity name csv =
     (name ^ ": warm runs missed nothing")
     after_cold.Cache.misses final.Cache.misses;
   Alcotest.(check bool) (name ^ ": warm runs hit the disk tier") true
-    (final.Cache.disk_hits > 0)
+    (final.Cache.disk_hits > 0);
+  (* Verify mode re-simulates every hit and compares it byte for byte
+     (a divergence raises Verify_mismatch). *)
+  Cache.set_mode Cache.Verify;
+  Cache.reset_stats ();
+  let verified = csv ~jobs:4 in
+  let v = Cache.stats () in
+  Alcotest.(check string) (name ^ ": verify pass byte-identical") reference
+    verified;
+  Alcotest.(check bool) (name ^ ": verify replayed hits") true
+    (v.Cache.verify_ok > 0);
+  Alcotest.(check int) (name ^ ": no verify divergence") 0 v.Cache.verify_fail
 
 let test_fig7_warm_cold () = figs_identity "fig7" fig7_csv
 let test_fig10_warm_cold () = figs_identity "fig10" fig10_csv
+
+(* The cc cross table re-measures every (basic|ebsn) x cc cell the cc
+   ablation measures: in one invocation those cells must come back
+   from the in-process memo, and only the table's own cells simulate. *)
+let test_cc_table_memo_dedup () =
+  with_cache_dir @@ fun _dir ->
+  Cache.set_mode Cache.On;
+  ignore (Ablations.cc ~replications:1 ());
+  let cc = Cache.stats () in
+  ignore (Ablations.cc_table ~replications:1 ());
+  let table = Cache.stats () in
+  let n_ccs = List.length Tcp_config.all_ccs in
+  let shared = 2 * n_ccs in
+  Alcotest.(check int) "ablation-cc stores its cells" shared cc.Cache.stores;
+  Alcotest.(check int) "the table's shared cells are memo hits" shared
+    (table.Cache.memo_hits - cc.Cache.memo_hits);
+  Alcotest.(check int) "only the table's own cells simulate"
+    ((List.length Scenario.all_schemes * n_ccs) - shared)
+    (table.Cache.misses - cc.Cache.misses)
 
 (* ------------------------------------------------------------------ *)
 
@@ -618,6 +673,8 @@ let () =
           Alcotest.test_case "clear and prune" `Quick test_store_clear_prune;
           Alcotest.test_case "damaged tree degrades, never aborts" `Quick
             test_store_damaged_tree_degrades;
+          Alcotest.test_case "campaign manifests are not entries" `Quick
+            test_store_leaves_campaigns_alone;
         ] );
       ( "sweep",
         [
@@ -639,5 +696,7 @@ let () =
             test_fig7_warm_cold;
           Alcotest.test_case "fig10 warm vs cold, jobs=1 and jobs=4" `Slow
             test_fig10_warm_cold;
+          Alcotest.test_case "cc table served from the cc ablation's memo"
+            `Quick test_cc_table_memo_dedup;
         ] );
     ]

@@ -1,5 +1,6 @@
 (* Tests for the experiments layer: Theory, Sweep, Report, the figure
-   modules, the CSDP experiment and the packet-size advisor. *)
+   modules (with the fig7/fig10 byte pins), the CSDP experiment and the
+   packet-size advisor. *)
 
 open Core
 
@@ -163,6 +164,52 @@ let test_fig_traces_local_recovery_beats_basic () =
     > basic.Fig_traces.measurement.Run.throughput_bps)
 
 (* ------------------------------------------------------------------ *)
+(* Figure byte pins                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of the fig7 and fig10 CSVs at reps=3, the bytes behind the
+   paper's two headline results (an interior packet size wins; EBSN
+   removes source timeouts during local recovery), captured at commit
+   17ccb7b.  Any change to event order, a loss draw or a float moves
+   them. *)
+let fig7_md5 = "5964875618a07db07de4f4b01357197f"
+let fig10_md5 = "6a785698082a6381fa59aac6710439b5"
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let fig7_csv ~jobs = Wan_sweep.to_csv (Fig7.compute ~replications:3 ~jobs ())
+
+let fig10_csv ~jobs =
+  let basic, ebsn = Fig10.compute ~replications:3 ~jobs () in
+  Lan_sweep.to_csv [ basic; ebsn ]
+
+let test_figure_pins () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "fig7 at jobs=%d" jobs)
+        fig7_md5
+        (md5 (fig7_csv ~jobs));
+      Alcotest.(check string)
+        (Printf.sprintf "fig10 at jobs=%d" jobs)
+        fig10_md5
+        (md5 (fig10_csv ~jobs)))
+    [ 1; 4 ];
+  (* The empty fault plan as the process default reaches every run of
+     the sweep; an injector that injects nothing must change nothing. *)
+  Fault_plan.set_default (Some Fault_plan.empty);
+  Fun.protect
+    ~finally:(fun () -> Fault_plan.set_default None)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "fig7 under the empty default plan at jobs=%d" jobs)
+            fig7_md5
+            (md5 (fig7_csv ~jobs)))
+        [ 1; 4 ])
+
+(* ------------------------------------------------------------------ *)
 (* CSDP                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -266,6 +313,8 @@ let () =
             test_fig_traces_deterministic_example;
           Alcotest.test_case "fig 4 vs 3" `Quick
             test_fig_traces_local_recovery_beats_basic;
+          Alcotest.test_case "fig7/fig10 MD5 pins at jobs=1 and jobs=4" `Quick
+            test_figure_pins;
         ] );
       ( "csdp",
         [

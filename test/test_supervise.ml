@@ -3,7 +3,8 @@
    enforcement through the simulator's event budget, retry tiers that
    rescue transient deadline misses, quarantine of deterministic
    failures, the sabotage injectors (killed worker, poisoned
-   checkpoint), the manifest as a campaign's only file, and the
+   checkpoint), the manifest as a campaign's only file (a copy of it
+   alone resumes, and re-proves every cell under verify mode), and the
    headline contract — an interrupted-and-resumed campaign is
    byte-identical to an uninterrupted one at any jobs, pinned by a
    qcheck property that kills at a random cell index.
@@ -402,6 +403,7 @@ let test_campaign_resume_identity () =
 
 let test_campaign_forced_deadline () =
   with_dirs @@ fun ~store ~manifests ->
+  let before = Supervisor.stats () in
   let r =
     Campaigns.run ~store_dir:store ~manifest_dir:manifests
       ~sabotage:
@@ -410,8 +412,13 @@ let test_campaign_forced_deadline () =
         { Campaigns.default_options with Campaigns.retries = 2 }
       (chaos_kind 4)
   in
+  let after = Supervisor.stats () in
   Alcotest.(check int) "one quarantined" 1 r.Campaigns.quarantined;
   Alcotest.(check bool) "campaign still ok" true r.Campaigns.ok;
+  Alcotest.(check int) "both attempts hit the deadline" 2
+    (after.Supervisor.deadline_hits - before.Supervisor.deadline_hits);
+  Alcotest.(check int) "one retry" 1
+    (after.Supervisor.retries - before.Supervisor.retries);
   Alcotest.(check bool) "headline reports it" true
     (let rec contains i =
        i + 13 <= String.length r.Campaigns.rendered
@@ -498,6 +505,28 @@ let test_manifest_alone_resumes () =
     resumed.Campaigns.rendered;
   Alcotest.(check bool) "json identical" true
     (reference.Campaigns.json = resumed.Campaigns.json);
+  (* Verify mode re-simulates every restored cell and compares it with
+     its checkpoint (a divergence raises Verify_mismatch). *)
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.set_mode Cache.Off;
+      Cache.reset_stats ())
+    (fun () ->
+      Cache.reset_stats ();
+      Cache.set_mode Cache.Verify;
+      let verified =
+        Campaigns.run ~store_dir:empty ~manifest_dir:manifests
+          ~options:{ opts with Campaigns.resume = true }
+          (chaos_kind 5)
+      in
+      let v = Cache.stats () in
+      Alcotest.(check int) "verify re-proves every restored cell"
+        verified.Campaigns.total v.Cache.verify_ok;
+      Alcotest.(check int) "no verify divergence" 0 v.Cache.verify_fail;
+      Alcotest.(check string) "verified rendered identical"
+        reference.Campaigns.rendered verified.Campaigns.rendered;
+      Alcotest.(check bool) "verified json identical" true
+        (reference.Campaigns.json = verified.Campaigns.json));
   Alcotest.(check bool) "store dir untouched" false (Sys.file_exists empty)
 
 let test_cell_count () =
