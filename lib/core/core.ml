@@ -130,7 +130,7 @@ module Chaos = Experiments.Chaos
 
 (** {1 Packet-size selection (§4.1)} *)
 
-module Packet_size_advisor = Packet_size_advisor
+module Packet_size_advisor = Experiments.Packet_size_advisor
 
 (** {1 Supervised campaigns (deadlines, retry, checkpoint/resume)} *)
 

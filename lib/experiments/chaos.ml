@@ -230,140 +230,3 @@ let result_of_string spec raw =
         throughput_bps = Int64.float_of_bits bits;
       }
   | _ -> None
-
-let campaign ?(plans = 50) ?(base_seed = 1) ?(jobs = 1) ?(check = true) ?cc () =
-  let specs = specs ?cc ~plans ~base_seed () in
-  Sim_engine.Parallel.map ~jobs (run_spec ~check) specs
-
-let ok results =
-  List.for_all
-    (fun r -> match r.status with Clean _ -> true | _ -> false)
-    results
-
-let count p results = List.length (List.filter p results)
-
-let injected_totals results =
-  List.map
-    (fun kind ->
-      ( kind,
-        List.fold_left
-          (fun acc r ->
-            acc + (try List.assoc kind r.injected with Not_found -> 0))
-          0 results ))
-    Error_model.Fault.all_kinds
-  |> List.filter (fun (_, n) -> n > 0)
-
-let render results =
-  let b = Buffer.create 1024 in
-  let total = List.length results in
-  let completed =
-    count (fun r -> r.status = Clean { completed = true }) results
-  in
-  let survived =
-    count (fun r -> r.status = Clean { completed = false }) results
-  in
-  let faulted =
-    count (fun r -> match r.status with Faulted _ -> true | _ -> false) results
-  in
-  let uncaught =
-    count (fun r -> match r.status with Uncaught _ -> true | _ -> false) results
-  in
-  Buffer.add_string b
-    (Printf.sprintf
-       "plans=%d  completed=%d  degraded=%d  faulted=%d  uncaught=%d\n" total
-       completed survived faulted uncaught);
-  Buffer.add_string b "injected faults: ";
-  (match injected_totals results with
-  | [] -> Buffer.add_string b "(none)\n"
-  | totals ->
-    Buffer.add_string b
-      (String.concat "  "
-         (List.map
-            (fun (kind, n) ->
-              Printf.sprintf "%s=%d" (Error_model.Fault.kind_name kind) n)
-            totals));
-    Buffer.add_char b '\n');
-  List.iter
-    (fun r ->
-      match r.status with
-      | Clean _ -> ()
-      | Faulted { rendered; _ } ->
-        Buffer.add_string b
-          (Printf.sprintf "FAULT %s (%s): %s\n" r.spec.label
-             (Faults.Plan.to_string r.spec.plan)
-             rendered)
-      | Uncaught msg ->
-        Buffer.add_string b
-          (Printf.sprintf "UNCAUGHT %s (%s): %s\n" r.spec.label
-             (Faults.Plan.to_string r.spec.plan)
-             msg))
-    results;
-  Buffer.contents b
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json results =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"plans\": %d,\n" (List.length results));
-  Buffer.add_string b
-    (Printf.sprintf "  \"ok\": %b,\n" (ok results));
-  Buffer.add_string b
-    (Printf.sprintf "  \"completed\": %d,\n"
-       (count (fun r -> r.status = Clean { completed = true }) results));
-  Buffer.add_string b
-    (Printf.sprintf "  \"degraded\": %d,\n"
-       (count (fun r -> r.status = Clean { completed = false }) results));
-  Buffer.add_string b
-    (Printf.sprintf "  \"faulted\": %d,\n"
-       (count
-          (fun r -> match r.status with Faulted _ -> true | _ -> false)
-          results));
-  Buffer.add_string b
-    (Printf.sprintf "  \"uncaught\": %d,\n"
-       (count
-          (fun r -> match r.status with Uncaught _ -> true | _ -> false)
-          results));
-  Buffer.add_string b "  \"injected\": {";
-  Buffer.add_string b
-    (String.concat ", "
-       (List.map
-          (fun (kind, n) ->
-            Printf.sprintf "\"%s\": %d" (Error_model.Fault.kind_name kind) n)
-          (injected_totals results)));
-  Buffer.add_string b "},\n";
-  Buffer.add_string b "  \"runs\": [\n";
-  let total = List.length results in
-  List.iteri
-    (fun i r ->
-      let status, detail =
-        match r.status with
-        | Clean { completed = true } -> ("completed", "")
-        | Clean { completed = false } -> ("degraded", "")
-        | Faulted { rendered; _ } -> ("faulted", rendered)
-        | Uncaught msg -> ("uncaught", msg)
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"label\": \"%s\", \"plan\": \"%s\", \"status\": \"%s\", \
-            \"detail\": \"%s\", \"events\": %d, \"throughput_bps\": %.1f}%s\n"
-           (json_escape r.spec.label)
-           (json_escape (Faults.Plan.to_string r.spec.plan))
-           status (json_escape detail) r.events_executed r.throughput_bps
-           (if i = total - 1 then "" else ",")))
-    results;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b

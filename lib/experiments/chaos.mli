@@ -7,8 +7,9 @@
     is that {e every} run ends in a well-defined state: either the
     transfer completed, or it degraded (horizon hit) — never an
     uncaught exception, and never an invariant violation when checked
-    mode is on.  Shared by [wtcp chaos] and the supervised chaos
-    campaign. *)
+    mode is on.  This module builds and runs the cells;
+    [Supervise.Campaigns] runs them as a campaign and renders the
+    one chaos report that [wtcp chaos] prints, supervised or not. *)
 
 type spec = {
   index : int;
@@ -47,38 +48,6 @@ val run_spec : check:bool -> spec -> run_result
 (** Run one cell.  Per-run exceptions are captured into {!Uncaught} —
     except {!Sim_engine.Simulator.Budget_exhausted}, which re-raises
     so a supervisor can retry the cell at a relaxed deadline tier. *)
-
-val campaign :
-  ?plans:int -> ?base_seed:int -> ?jobs:int -> ?check:bool ->
-  ?cc:Tcp_tahoe.Tcp_config.cc -> unit ->
-  run_result list
-(** Run a campaign of [plans] (default 50) seeded fault plans, seeds
-    [base_seed .. base_seed+plans-1] (default from 1), fanned out over
-    [jobs] domains (default 1), with invariant checking on by default.
-    [cc] overrides every scenario's congestion-control variant
-    (default: the presets' Tahoe).  Per-run exceptions are captured
-    into {!Uncaught}, so the list always has [plans] entries in spec
-    order. *)
-
-val ok : run_result list -> bool
-(** [true] iff every run is {!Clean} — zero uncaught exceptions and
-    zero component faults (hence zero invariant violations). *)
-
-val render : run_result list -> string
-(** Human-readable summary: headline counts, per-kind injected-fault
-    totals, and one line per non-clean run with its plan. *)
-
-val to_json : run_result list -> string
-(** The campaign as a JSON document (summary plus one record per
-    run). *)
-
-val injected_totals : run_result list -> (Error_model.Fault.kind * int) list
-(** Applied-fault counts summed across runs, omitting kinds that
-    never fired, in {!Error_model.Fault.all_kinds} order. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping used by {!to_json} — shared with the
-    supervised campaign renderer so both emit identical documents. *)
 
 val result_to_string : run_result -> string
 (** Exact single-line codec for one cell (spec excluded — specs

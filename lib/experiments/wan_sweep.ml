@@ -3,12 +3,10 @@ open Topology
 type cell = { size : int; summary : Metrics.Summary.t }
 type series = { bad_sec : float; cells : cell list }
 
-let packet_sizes =
-  [ 128; 256; 384; 512; 640; 768; 896; 1024; 1152; 1280; 1408; 1536 ]
-
 let bad_periods_sec = [ 1.0; 2.0; 3.0; 4.0 ]
 
-let compute ?replications ?jobs ?cc ?(packet_sizes = packet_sizes)
+let compute ?replications ?jobs ?cc
+    ?(packet_sizes = Packet_size_advisor.default_candidates)
     ?(bad_periods_sec = bad_periods_sec) ~scheme ~metric () =
   let apply_cc s =
     match cc with None -> s | Some cc -> Scenario.with_cc s cc
@@ -97,11 +95,10 @@ let render_metric ~title ~note ~unit_label series_list =
     ]
 
 let best_size series =
-  List.fold_left
-    (fun (best_size, best_value) cell ->
-      let v = cell.summary.Metrics.Summary.mean in
-      if v > best_value then (cell.size, v) else (best_size, best_value))
-    (0, Float.neg_infinity) series.cells
+  Packet_size_advisor.best
+    (List.map
+       (fun cell -> (cell.size, cell.summary.Metrics.Summary.mean))
+       series.cells)
 
 let to_csv series_list =
   Report.csv ~columns:(columns series_list)

@@ -7,10 +7,6 @@
 type cell = { size : int; summary : Metrics.Summary.t }
 type series = { bad_sec : float; cells : cell list }
 
-val packet_sizes : int list
-(** 128, 256, 384, 512, 640, 768, 896, 1024, 1152, 1280, 1408,
-    1536 — the paper's 128-byte steps. *)
-
 val bad_periods_sec : float list
 (** 1.0, 2.0, 3.0, 4.0. *)
 
@@ -24,10 +20,11 @@ val compute :
   metric:(Run.measurement -> float) ->
   unit ->
   series list
-(** One series per bad-period length.  [jobs] parallelises the
-    replications of each point without changing any value.  [cc]
-    overrides the source's congestion-control variant (default:
-    the preset's Tahoe). *)
+(** One series per bad-period length, over [packet_sizes] (default
+    {!Packet_size_advisor.default_candidates}, the paper's 128-byte
+    steps).  [jobs] parallelises the replications of each point
+    without changing any value.  [cc] overrides the source's
+    congestion-control variant (default: the preset's Tahoe). *)
 
 val render_throughput :
   title:string -> note:string -> series list -> string
@@ -39,7 +36,8 @@ val render_metric :
 (** Table of an arbitrary metric per packet size and bad period. *)
 
 val best_size : series -> int * float
-(** The packet size with the highest mean metric in a series. *)
+(** The packet size with the highest mean metric in a series
+    ({!Packet_size_advisor.best}). *)
 
 val to_csv : series list -> string
 (** The sweep as CSV (one row per packet size, one column per bad

@@ -150,7 +150,9 @@ let mutations : (string * (int -> Scenario.t -> Scenario.t)) list =
           Scenario.wireless =
             {
               s.Scenario.wireless with
-              Scenario.mean_bad = Simtime.span_sec (float_of_int d);
+              Scenario.mean_bad =
+                Simtime.span_add s.Scenario.wireless.Scenario.mean_bad
+                  (Simtime.span_sec (float_of_int d));
             };
         } );
     ( "ber_bad",
