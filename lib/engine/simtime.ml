@@ -25,6 +25,7 @@ let span_sec s =
 let span_to_ns d = d
 let span_to_sec d = float_of_int d *. 1e-9
 let span_zero = 0
+let max_span = max_int
 
 let add t d = t + d
 

@@ -48,6 +48,10 @@ val span_to_sec : span -> float
 val span_zero : span
 (** The empty duration. *)
 
+val max_span : span
+(** The longest duration the clock holds, [2{^ 62} - 1] ns (about 146
+    years); [add zero max_span] is its last instant. *)
+
 val add : t -> span -> t
 (** [add t d] is the instant [d] after [t]. *)
 

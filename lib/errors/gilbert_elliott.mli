@@ -13,5 +13,8 @@ val create :
   mean_bad:Sim_engine.Simtime.span ->
   Channel.t
 (** A channel starting in the Good state at time zero, as in the
-    paper's experiments.  The channel owns [rng]; give it a dedicated
+    paper's experiments.  Each holding time is rounded to the nearest
+    nanosecond and clamped to 1 ns .. the largest
+    {!Sim_engine.Simtime.span}, so any positive mean the clock holds
+    gives valid periods.  The channel owns [rng]; give it a dedicated
     stream ([Rng.split]). *)

@@ -28,13 +28,25 @@ let append t finish =
   t.ends.(t.count) <- finish;
   t.count <- t.count + 1
 
+(* The clock's last instant: a period that would end past it ends
+   there, and the timeline stops growing. *)
+let last_instant = Simtime.(add zero max_span)
+
 let extend_until t stop =
-  while t.count = 0 || Simtime.(t.ends.(t.count - 1) <= stop) do
+  while
+    t.count = 0
+    || Simtime.(
+         t.ends.(t.count - 1) <= stop && t.ends.(t.count - 1) < last_instant)
+  do
     let state = state_of_index t t.count in
     let d = t.duration_of state in
     if Simtime.span_compare d Simtime.span_zero <= 0 then
       invalid_arg "State_timeline: duration must be positive";
-    append t (Simtime.add (period_start t t.count) d)
+    let start = period_start t t.count in
+    append t
+      (if Simtime.(span_compare d (diff last_instant start)) > 0 then
+         last_instant
+       else Simtime.add start d)
   done
 
 (* First period index whose end time is strictly after [at].  The

@@ -16,7 +16,9 @@ val create :
   t
 (** [create ~duration_of ()] starts in [start_state] (default [Good])
     at time zero; each period's length is drawn by [duration_of state]
-    when first needed.  Durations must be positive. *)
+    when first needed.  Durations must be positive.  A period that
+    would end past the clock's last instant ends there and is the
+    last one. *)
 
 val segments :
   t ->

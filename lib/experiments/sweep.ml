@@ -1,7 +1,14 @@
 open Topology
 
 let default_replications = 10
-let seeds ~replications = List.init replications (fun i -> (1000 * i) + 17)
+let seed_of_replication r = (1000 * r) + 17
+let seeds ~replications = List.init replications seed_of_replication
+
+let seeded_runs ~replications scenarios =
+  Array.init (Array.length scenarios * replications) (fun i ->
+      Scenario.with_seed
+        scenarios.(i / replications)
+        (seed_of_replication (i mod replications)))
 
 (* Every (scenario, seed) pair of a whole sweep fans out as one flat
    array over the persistent domain pool: one warm pool serves the
@@ -17,12 +24,7 @@ let measurements_all ?(replications = default_replications) ?(jobs = 1)
   else begin
     let scenarios = Array.of_list scenarios in
     let n_scenarios = Array.length scenarios in
-    let runs =
-      Array.init (n_scenarios * replications) (fun i ->
-          Scenario.with_seed
-            scenarios.(i / replications)
-            ((1000 * (i mod replications)) + 17))
-    in
+    let runs = seeded_runs ~replications scenarios in
     let out =
       if not (Repcache.Cache.active ()) then
         Sim_engine.Parallel.map_array ~jobs Run.measure runs

@@ -9,6 +9,12 @@ val default_replications : int
 val seeds : replications:int -> int list
 (** The deterministic seed list used for replication ([1000·i + 17]). *)
 
+val seeded_runs :
+  replications:int -> Topology.Scenario.t array -> Topology.Scenario.t array
+(** Every (scenario, seed) run of a replicated sweep, row-major: run
+    [i] is scenario [i / replications] under the [i mod replications]-th
+    of {!seeds}.  {!measurements_all} measures exactly these runs. *)
+
 val replicate :
   ?replications:int ->
   ?jobs:int ->

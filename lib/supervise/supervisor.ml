@@ -130,7 +130,9 @@ let budget_for config sabotage ~cell ~attempt =
       Some (relax base attempt)
 
 (* One cell, run to an outcome on whatever domain the pool picked.
-   Catches everything: a cell may fail, never the wave. *)
+   Catches everything but a cache verify divergence: a cell may fail,
+   never the wave, but a cache entry that differs from a fresh
+   simulation fails the campaign, as it does without supervision. *)
 let attempt_cell config sabotage cells i =
   let cell = cells.(i) in
   let rec go attempt =
@@ -143,6 +145,7 @@ let attempt_cell config sabotage cells i =
         cell.simulate
     with
     | v -> Done v
+    | exception (Repcache.Cache.Verify_mismatch _ as e) -> raise e
     | exception e ->
       if is_deadline e then Atomic.incr deadline_hits_total;
       if attempt < config.max_attempts then go (attempt + 1)

@@ -131,4 +131,7 @@ val run :
 
     @raise Invalid_argument if [max_attempts < 1] or
     [relax_factor < 1].
+    @raise Repcache.Cache.Verify_mismatch if a cell's [simulate]
+    raises it: a cache entry that diverges from a fresh simulation is
+    never retried or quarantined.
     @raise Sys_error if the manifest cannot be created or written. *)

@@ -98,6 +98,25 @@ let test_timeline_positive_duration_enforced () =
     (Invalid_argument "State_timeline: duration must be positive") (fun () ->
       ignore (State_timeline.segments tl ~start:(at 0) ~stop:(at 1)))
 
+(* A period too long for the clock ends at its last instant, and the
+   timeline stops there instead of wrapping to negative times. *)
+let test_timeline_saturates_at_clock_end () =
+  let tl =
+    State_timeline.create
+      ~duration_of:(function
+        | Channel_state.Good -> sec 1.0
+        | Channel_state.Bad -> Simtime.max_span)
+      ()
+  in
+  let segments =
+    State_timeline.segments tl ~start:Simtime.zero ~stop:(at max_int)
+  in
+  Alcotest.(check (list int)) "good 1 s, then bad to the clock's end"
+    [ 1_000_000_000; max_int - 1_000_000_000 ]
+    (List.map (fun (_, d) -> Simtime.span_to_ns d) segments);
+  Alcotest.(check int) "no period past the last" 2
+    (State_timeline.periods_materialised tl)
+
 let prop_timeline_coverage =
   QCheck2.Test.make ~name:"timeline segments always cover [start,stop)"
     ~count:200
@@ -223,6 +242,31 @@ let test_gilbert_elliott_statistics () =
     (Printf.sprintf "bad fraction %.3f near 0.286" fraction)
     true
     (Float.abs (fraction -. (4.0 /. 14.0)) < 0.04)
+
+(* Holding times are clamped to the spans the clock holds.  A 1-ns
+   mean draws below 0.5 ns (0 ns once rounded) about 39% of the time,
+   and a mean of the largest span draws past it about as often; every
+   seed must still give periods that cover the queried interval. *)
+let test_gilbert_elliott_extreme_means () =
+  let largest = Simtime.max_span in
+  List.iter
+    (fun (name, mean_good, mean_bad, stop) ->
+      for seed = 1 to 20 do
+        let ch =
+          Gilbert_elliott.create ~rng:(Rng.create ~seed) ~mean_good ~mean_bad
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s, seed %d: periods cover the interval" name seed)
+          (Simtime.to_ns stop)
+          (Simtime.span_to_ns
+             (total_span (Channel.segments ch ~start:Simtime.zero ~stop)))
+      done)
+    [
+      ("1-ns bad", sec 10.0, Simtime.span_ns 1, at 1_000_000_000_000);
+      ("1-ns good", Simtime.span_ns 1, sec 4.0, at 1_000_000_000_000);
+      ("largest good", largest, sec 4.0, at max_int);
+      ("largest bad", sec 10.0, largest, at max_int);
+    ]
 
 let test_gilbert_elliott_deterministic_by_seed () =
   let build seed =
@@ -478,6 +522,8 @@ let () =
           Alcotest.test_case "positive durations" `Quick
             test_timeline_positive_duration_enforced;
           Alcotest.test_case "index_at guards" `Quick test_index_at_guards;
+          Alcotest.test_case "saturates at the clock's end" `Quick
+            test_timeline_saturates_at_clock_end;
           qc prop_timeline_coverage;
           qc prop_weighted_seconds_matches_fold;
         ] );
@@ -491,6 +537,8 @@ let () =
             test_gilbert_elliott_statistics;
           Alcotest.test_case "gilbert-elliott determinism" `Quick
             test_gilbert_elliott_deterministic_by_seed;
+          Alcotest.test_case "gilbert-elliott extreme means" `Quick
+            test_gilbert_elliott_extreme_means;
         ] );
       ( "trace_channel",
         [
