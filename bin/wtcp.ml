@@ -184,10 +184,8 @@ let cache_setup_term =
 let print_cache_stats () =
   if Core.Cache.active () then begin
     let s = Core.Cache.stats () in
-    Printf.printf
-      "cache:      %d memo hits, %d disk hits, %d misses, %d deduped%s\n"
-      s.Core.Cache.memo_hits s.Core.Cache.disk_hits s.Core.Cache.misses
-      s.Core.Cache.deduped
+    Printf.printf "cache:      %d disk hits, %d misses%s\n"
+      s.Core.Cache.disk_hits s.Core.Cache.misses
       (match Core.Cache.mode () with
       | Core.Cache.Verify ->
         Printf.sprintf ", %d verified" s.Core.Cache.verify_ok
@@ -596,7 +594,8 @@ let compare_cmd =
       ret
         (const action $ cache_setup_term $ cc_arg $ preset_arg
        $ packet_size_arg $ bad_arg $ good_arg $ file_arg $ seed_arg
-       $ reps_arg ~doc:"Runs per scheme." $ jobs_arg $ supervise_term))
+       $ reps_arg ~doc:"Runs per scheme; run $(i,r) uses seed 1000$(i,r)+16+N."
+       $ jobs_arg $ supervise_term))
 
 (* ------------------------------------------------------------------ *)
 (* handoff                                                             *)
@@ -778,49 +777,23 @@ let resume_cmd =
 (* ------------------------------------------------------------------ *)
 
 let cache_cmd =
+  let module S = Core.Cache_store in
   let stats_action dir =
-    let s = Core.Cache_store.stats ~dir in
-    Printf.printf "dir:     %s\n" dir;
-    Printf.printf "engine:  %s\n" Core.Fingerprint.engine_version;
-    Printf.printf "entries: %d (%d bytes)\n" s.Core.Cache_store.entries
-      s.Core.Cache_store.bytes;
-    Printf.printf "stale:   %d (other engine versions)\n"
-      s.Core.Cache_store.stale;
-    Printf.printf "corrupt: %d\n" s.Core.Cache_store.corrupt
+    let s = S.stats ~dir in
+    Printf.printf
+      "dir:     %s\nengine:  %s\nentries: %d (%d bytes)\n\
+       stale:   %d (other engine versions)\ncorrupt: %d\n"
+      dir Core.Fingerprint.engine_version s.S.entries s.S.bytes s.S.stale
+      s.S.corrupt
   in
-  let report_skipped (s : Core.Cache_store.sweep) =
-    if s.Core.Cache_store.skipped > 0 then
-      Printf.printf "skipped %d undeletable entries (damaged tree)\n"
-        s.Core.Cache_store.skipped
+  let sweep_action sweep message dir =
+    let s : S.sweep = sweep ~dir in
+    Printf.printf message s.S.removed dir;
+    if s.S.skipped > 0 then
+      Printf.printf "skipped %d undeletable segments\n" s.S.skipped
   in
-  let clear_action dir =
-    let s = Core.Cache_store.clear ~dir in
-    Printf.printf "removed %d entries from %s\n" s.Core.Cache_store.removed dir;
-    report_skipped s
-  in
-  let prune_action dir =
-    let s = Core.Cache_store.prune ~dir in
-    Printf.printf "pruned %d stale/corrupt entries from %s\n"
-      s.Core.Cache_store.removed dir;
-    report_skipped s
-  in
-  let stats_cmd =
-    Cmd.v
-      (Cmd.info "stats" ~doc:"Entry counts and sizes of the on-disk cache")
-      Term.(const stats_action $ cache_dir_arg)
-  in
-  let clear_cmd =
-    Cmd.v
-      (Cmd.info "clear" ~doc:"Remove every cache entry")
-      Term.(const clear_action $ cache_dir_arg)
-  in
-  let prune_cmd =
-    Cmd.v
-      (Cmd.info "prune"
-         ~doc:
-           "Remove only stale (other engine version) and corrupt entries, \
-            keeping valid ones")
-      Term.(const prune_action $ cache_dir_arg)
+  let cmd name doc action =
+    Cmd.v (Cmd.info name ~doc) Term.(const action $ cache_dir_arg)
   in
   Cmd.group
     ~default:Term.(const stats_action $ cache_dir_arg)
@@ -828,7 +801,16 @@ let cache_cmd =
        ~doc:
          "Inspect or maintain the content-addressed replication cache \
           (see $(b,--cache) on $(b,compare) and $(b,advisor))")
-    [ stats_cmd; clear_cmd; prune_cmd ]
+    [
+      cmd "stats" "Entry counts and sizes of the on-disk cache" stats_action;
+      cmd "clear" "Delete every cache segment"
+        (sweep_action S.clear "removed %d records from %s\n");
+      cmd "prune"
+        "Compact the cache into one segment of its valid records, dropping \
+         stale (other engine version), corrupt and duplicate ones"
+        (sweep_action S.prune
+           "pruned %d stale, corrupt or duplicate records from %s\n");
+    ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -11,74 +11,42 @@ let dir () = Atomic.get current_dir
 
 exception Verify_mismatch of { key : string; cached : string; fresh : string }
 
-(* Memo tier: process-global, shared across targets within one
-   invocation (the cc cross table re-reads the cc ablation's baseline
-   cells this way).  Guarded by a mutex — lookups happen on pool
-   domains. *)
-let memo : (string, string) Hashtbl.t = Hashtbl.create 256
-let memo_mutex = Mutex.create ()
-
-let with_memo f =
-  Mutex.lock memo_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock memo_mutex) f
-
-let memo_size () = with_memo (fun () -> Hashtbl.length memo)
-let memo_clear () = with_memo (fun () -> Hashtbl.reset memo)
-
-let memo_hits = Atomic.make 0
 let disk_hits = Atomic.make 0
 let misses = Atomic.make 0
 let stores = Atomic.make 0
-let deduped = Atomic.make 0
 let verify_ok = Atomic.make 0
 let verify_fail = Atomic.make 0
 
-let bump c n = ignore (Atomic.fetch_and_add c n)
-
 let find ~key =
   if not (active ()) then None
-  else
-    match with_memo (fun () -> Hashtbl.find_opt memo key) with
-    | Some payload ->
-      bump memo_hits 1;
-      Some payload
-    | None -> (
-      match Store.get ~dir:(dir ()) ~key with
-      | Some payload ->
-        bump disk_hits 1;
-        with_memo (fun () -> Hashtbl.replace memo key payload);
-        Some payload
-      | None ->
-        bump misses 1;
-        None)
+  else begin
+    let found = Store.get ~dir:(dir ()) ~key in
+    Atomic.incr (if Option.is_some found then disk_hits else misses);
+    found
+  end
 
 let store ~key payload =
   if active () then begin
-    bump stores 1;
-    with_memo (fun () -> Hashtbl.replace memo key payload);
+    Atomic.incr stores;
     Store.put ~dir:(dir ()) ~key payload
   end
 
-let note_deduped n = bump deduped n
-let note_verify ~ok = bump (if ok then verify_ok else verify_fail) 1
+let note_verify ~ok = Atomic.incr (if ok then verify_ok else verify_fail)
+let memo_clear = Store.reread
 
 type stats = {
-  memo_hits : int;
   disk_hits : int;
   misses : int;
   stores : int;
-  deduped : int;
   verify_ok : int;
   verify_fail : int;
 }
 
 let stats () =
   {
-    memo_hits = Atomic.get memo_hits;
     disk_hits = Atomic.get disk_hits;
     misses = Atomic.get misses;
     stores = Atomic.get stores;
-    deduped = Atomic.get deduped;
     verify_ok = Atomic.get verify_ok;
     verify_fail = Atomic.get verify_fail;
   }
@@ -86,15 +54,13 @@ let stats () =
 let reset_stats () =
   List.iter
     (fun c -> Atomic.set c 0)
-    [ memo_hits; disk_hits; misses; stores; deduped; verify_ok; verify_fail ]
+    [ disk_hits; misses; stores; verify_ok; verify_fail ]
 
 let record_metrics registry =
   let c name v = Obs.Registry.add (Obs.Registry.counter registry name) v in
   let s = stats () in
-  c "engine.cache.memo_hits" s.memo_hits;
   c "engine.cache.disk_hits" s.disk_hits;
   c "engine.cache.misses" s.misses;
   c "engine.cache.stores" s.stores;
-  c "engine.cache.deduped" s.deduped;
   c "engine.cache.verify_ok" s.verify_ok;
   c "engine.cache.verify_fail" s.verify_fail

@@ -1,4 +1,4 @@
-(** Replication cache front-end: mode, memo tier, disk tier, stats.
+(** Replication cache front-end: mode, disk store, stats.
 
     The cache is {e off} by default — benchmarks that compare jobs=1
     against jobs=N runs rely on each invocation actually simulating,
@@ -6,13 +6,14 @@
 
     Payloads are opaque strings (the encoded measurement); the cache
     never interprets them, it only guarantees that what comes back is
-    byte-identical to what went in.  In [Verify] mode every hit is
-    additionally checked against a fresh simulation by the caller
+    byte-identical to what went in.  The store's in-process index
+    ({!Store}) is the only in-memory copy.  In [Verify] mode every hit
+    is additionally checked against a fresh simulation by the caller
     (see {!Verify_mismatch}). *)
 
 type mode =
   | Off  (** default: every cell simulates *)
-  | On  (** memo + disk lookups, misses stored *)
+  | On  (** lookups served from the store, misses stored *)
   | Verify
       (** like [On], but the caller re-simulates each hit and raises
           {!Verify_mismatch} on any byte divergence *)
@@ -34,30 +35,25 @@ exception Verify_mismatch of { key : string; cached : string; fresh : string }
     invalidation bug, never a benign event. *)
 
 val find : key:string -> string option
-(** Look the key up in the memo tier then the disk tier, counting a
-    memo hit, disk hit or miss.  A disk hit is promoted into the
-    memo.  Always [None] (and counts nothing) when the cache is off. *)
+(** Look the key up in the store, counting a hit or a miss.  Always
+    [None] (and counts nothing) when the cache is off. *)
 
 val store : key:string -> string -> unit
-(** Record a freshly simulated payload in both tiers.  No-op when the
+(** Record a freshly simulated payload in the store.  No-op when the
     cache is off. *)
-
-val note_deduped : int -> unit
-(** Count cells that were skipped because an identical cell was
-    already being simulated in the same batch (intra-run dedup). *)
 
 val note_verify : ok:bool -> unit
 (** Count a verify-mode comparison outcome. *)
 
-val memo_size : unit -> int
 val memo_clear : unit -> unit
+(** Make the next lookup re-read the store's segments from disk
+    ({!Store.reread}): a record that is gone or damaged on disk stops
+    being served. *)
 
 type stats = {
-  memo_hits : int;
-  disk_hits : int;
+  disk_hits : int;  (** lookups the store served *)
   misses : int;
   stores : int;
-  deduped : int;
   verify_ok : int;
   verify_fail : int;
 }
@@ -70,7 +66,7 @@ val reset_stats : unit -> unit
 
 val record_metrics : Obs.Registry.t -> unit
 (** Fold {!stats} into a registry as the
-    [engine.cache.{memo_hits,disk_hits,misses,stores,deduped,verify_ok,verify_fail}]
+    [engine.cache.{disk_hits,misses,stores,verify_ok,verify_fail}]
     counter group.  Like the pool counters, never folded into per-run
     metrics automatically: cache counters vary with cache state,
     which would break per-run byte-identity. *)

@@ -1,196 +1,204 @@
-(* Entry layout:
-     wtcp-cache <engine_version>\n
-     key <key>\n
-     <payload>
-     end\n
-   The header pins the minting engine version, the key line guards
-   against renamed files, and the terminator proves the write ran to
-   completion.  Anything that deviates reads as a miss. *)
+(* Per directory the process keeps an index of what it has read or
+   written there and the segment it appends to, all under one lock. *)
 
 let magic = "wtcp-cache"
-let header () = Printf.sprintf "%s %s\n" magic Fingerprint.engine_version
-let footer = "end\n"
 
-let subdir_of_key key = if String.length key >= 2 then String.sub key 0 2 else "xx"
+type record = Current of (string * string) | Stale | Corrupt
+type header = Unread | Version of string | Foreign
 
-(* Every name [subdir_of_key] returns.  Only these directories hold
-   entries; anything else under the cache dir (the campaign manifests
-   under [campaigns/]) belongs to someone else, so the maintenance
-   walk neither counts nor removes it. *)
-let is_key_subdir sub = String.length sub = 2
-
-let path_of_key ~dir ~key = Filename.concat (Filename.concat dir (subdir_of_key key)) key
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let r =
-      match really_input_string ic (in_channel_length ic) with
-      | s -> Some s
-      | exception (End_of_file | Sys_error _) -> None
-    in
-    close_in_noerr ic;
-    r
-
-(* Split a raw entry into (version, key, payload); None if malformed. *)
-let parse raw =
-  let line_end from =
-    match String.index_from_opt raw from '\n' with
-    | Some i -> Some i
-    | None -> None
+(* [f line record] for each line of the segment after its header.  A
+   torn tail or an unreadable segment is one [f "" Corrupt]; under a
+   foreign header every line is corrupt, the header included. *)
+let scan path f =
+  let step header line =
+    match header with
+    | Unread -> (
+      match Record.field line magic with
+      | Some version -> Version version
+      | None ->
+        f line Corrupt;
+        Foreign)
+    | Version version ->
+      f line
+        (match Record.data line with
+        | Some data when version = Fingerprint.engine_version -> Current data
+        | Some _ -> Stale
+        | None -> Corrupt);
+      header
+    | Foreign ->
+      f line Corrupt;
+      header
   in
-  match line_end 0 with
-  | None -> None
-  | Some l1 -> (
-    let first = String.sub raw 0 l1 in
-    match String.index_opt first ' ' with
-    | None -> None
-    | Some sp when String.sub first 0 sp <> magic -> None
-    | Some sp -> (
-      let version = String.sub first (sp + 1) (String.length first - sp - 1) in
-      match line_end (l1 + 1) with
-      | None -> None
-      | Some l2 ->
-        let second = String.sub raw (l1 + 1) (l2 - l1 - 1) in
-        let flen = String.length footer in
-        let body_start = l2 + 1 in
-        if
-          String.length second < 4
-          || String.sub second 0 4 <> "key "
-          || String.length raw < body_start + flen
-          || String.sub raw (String.length raw - flen) flen <> footer
-        then None
-        else
-          let key = String.sub second 4 (String.length second - 4) in
-          let payload =
-            String.sub raw body_start (String.length raw - body_start - flen)
-          in
-          Some (version, key, payload)))
+  match Record.fold_lines path ~init:Unread step with
+  | Some (_, false) -> ()
+  | Some (_, true) | None -> f "" Corrupt
+
+(* Every segment of [dir], sorted, with its record count; [f] sees
+   each record on the way. *)
+let read_all dir f =
+  let names = try Sys.readdir dir with Sys_error _ -> [||] in
+  Array.sort compare names;
+  List.filter_map
+    (fun name ->
+      if not (Filename.check_suffix name ".seg") then None
+      else begin
+        let path = Filename.concat dir name and n = ref 0 in
+        scan path (fun line r -> incr n; f line r);
+        Some (path, !n)
+      end)
+    (Array.to_list names)
+
+(* A new segment of ours, created exclusively so that no other process
+   appends to it; its header goes out with the first flush. *)
+let open_segment dir =
+  Record.mkdir_p dir;
+  let rec attempt n =
+    let path = Filename.concat dir (Printf.sprintf "%d-%d.seg" (Unix.getpid ()) n) in
+    let flags = [ Open_wronly; Open_append; Open_creat; Open_excl; Open_binary ] in
+    match open_out_gen flags 0o644 path with
+    | oc ->
+      Record.output_header oc ~magic;
+      Some (path, oc)
+    | exception Sys_error _ when n < 64 && Sys.file_exists path ->
+      attempt (n + 1)
+    | exception Sys_error _ -> None
+  in
+  attempt 0
+
+type entry = { mutable payload : string; mutable seen : int }
+
+(* An entry is live while [seen] is the shard's [pass]: the last
+   re-read saw it, or a put added it since. *)
+type shard = {
+  index : (string, entry) Hashtbl.t;
+  mutable pass : int;
+  mutable current : bool;  (* read since the last [reread] *)
+  mutable out : out_channel option;
+}
+
+let shards : (string, shard) Hashtbl.t = Hashtbl.create 4
+let lock = Mutex.create ()
+
+let shard dir =
+  match Hashtbl.find_opt shards dir with
+  | Some s -> s
+  | None ->
+    let s = { index = Hashtbl.create 256; pass = 0; current = false; out = None } in
+    Hashtbl.add shards dir s;
+    s
+
+(* The payload string is replaced only when the bytes differ, so an
+   index re-read leaves little that outlives the pass. *)
+let note s key payload =
+  match Hashtbl.find_opt s.index key with
+  | Some e ->
+    if not (String.equal e.payload payload) then e.payload <- payload;
+    e.seen <- s.pass
+  | None -> Hashtbl.replace s.index key { payload; seen = s.pass }
+
+let reload dir s =
+  s.pass <- s.pass + 1;
+  ignore
+    (read_all dir (fun _ -> function
+       | Current (key, payload) -> note s key payload
+       | Stale | Corrupt -> ()));
+  Hashtbl.filter_map_inplace
+    (fun _ e -> if e.seen = s.pass then Some e else None)
+    s.index;
+  s.current <- true
 
 let get ~dir ~key =
-  match read_file (path_of_key ~dir ~key) with
-  | None -> None
-  | Some raw -> (
-    match parse raw with
-    | Some (version, k, payload)
-      when version = Fingerprint.engine_version && k = key ->
-      Some payload
-    | _ -> None)
+  Mutex.protect lock (fun () ->
+      let s = shard dir in
+      if not s.current then reload dir s;
+      Option.map (fun e -> e.payload) (Hashtbl.find_opt s.index key))
 
-let mkdir_p path =
-  let rec go p =
-    if p <> "" && p <> "." && p <> "/" && not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      (try Sys.mkdir p 0o755 with Sys_error _ -> ())
-    end
-  in
-  go path
-
-let tmp_counter = Atomic.make 0
+(* A clear or prune, ours or another process's, unlinks the segment we
+   append to; the next put then starts a new one, so it is not lost. *)
+let linked oc =
+  try (Unix.fstat (Unix.descr_of_out_channel oc)).Unix.st_nlink > 0
+  with Unix.Unix_error _ -> false
 
 let put ~dir ~key payload =
-  let final = path_of_key ~dir ~key in
-  mkdir_p (Filename.dirname final);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
-  match open_out_bin tmp with
-  | exception Sys_error _ -> ()
-  | oc -> (
-    let ok =
-      match
-        output_string oc (header ());
-        output_string oc ("key " ^ key ^ "\n");
-        output_string oc payload;
-        output_string oc footer;
-        close_out oc
-      with
-      | () -> true
-      | exception Sys_error _ ->
-        close_out_noerr oc;
-        false
-    in
-    if ok then
-      try Sys.rename tmp final with Sys_error _ -> (
-        try Sys.remove tmp with Sys_error _ -> ())
-    else try Sys.remove tmp with Sys_error _ -> ())
+  Mutex.protect lock (fun () ->
+      let s = shard dir in
+      note s key payload;
+      if not (Option.fold ~none:false ~some:linked s.out) then begin
+        Option.iter close_out_noerr s.out;
+        s.out <- Option.map snd (open_segment dir)
+      end;
+      Option.iter
+        (fun oc ->
+          try
+            Record.output_data oc ~key payload;
+            flush oc
+          with Sys_error _ ->
+            close_out_noerr oc;
+            s.out <- None)
+        s.out)
+
+let reread () =
+  Mutex.protect lock (fun () ->
+      Hashtbl.iter (fun _ s -> s.current <- false) shards)
 
 type stats = { entries : int; bytes : int; stale : int; corrupt : int }
 
-type classification = Valid of int | Stale | Corrupt | Tmp
-
-(* Temp files carry a ".tmp.<pid>.<n>" suffix appended to the key. *)
-let is_tmp path =
-  let rec contains_at base i =
-    i >= 0
-    && (String.length base - i >= 5 && String.sub base i 5 = ".tmp."
-       || contains_at base (i - 1))
-  in
-  let base = Filename.basename path in
-  contains_at base (String.length base - 5)
-
-let classify path =
-  if is_tmp path then Tmp
-  else
-    match read_file path with
-    | None -> Corrupt
-    | Some raw -> (
-      match parse raw with
-      | Some (version, k, _)
-        when version = Fingerprint.engine_version && k = Filename.basename path
-        ->
-        Valid (String.length raw)
-      | Some _ -> Stale
-      | None -> Corrupt)
-
-(* A damaged tree — entries vanishing mid-walk, unreadable
-   subdirectories, files where directories should be — is exactly
-   when the maintenance verbs run, so every stat on the walk is
-   guarded: an entry we cannot inspect is skipped, never a reason to
-   abort with the sweep half done. *)
-let is_directory path = try Sys.is_directory path with Sys_error _ -> false
-
-let iter_files ~dir f =
-  if is_directory dir then
-    Array.iter
-      (fun sub ->
-        let subpath = Filename.concat dir sub in
-        if is_key_subdir sub && is_directory subpath then
-          Array.iter
-            (fun file -> f (Filename.concat subpath file))
-            (try Sys.readdir subpath with Sys_error _ -> [||]))
-      (try Sys.readdir dir with Sys_error _ -> [||])
-
 let stats ~dir =
-  let entries = ref 0 and bytes = ref 0 and stale = ref 0 and corrupt = ref 0 in
-  iter_files ~dir (fun path ->
-      match classify path with
-      | Valid n ->
-        incr entries;
-        bytes := !bytes + n
-      | Stale -> incr stale
-      | Corrupt | Tmp -> incr corrupt);
-  { entries = !entries; bytes = !bytes; stale = !stale; corrupt = !corrupt }
+  let sizes = Hashtbl.create 64 and stale = ref 0 and corrupt = ref 0 in
+  ignore
+    (read_all dir (fun line -> function
+       | Current (key, _) -> Hashtbl.replace sizes key (String.length line + 1)
+       | Stale -> incr stale
+       | Corrupt -> incr corrupt));
+  let bytes = Hashtbl.fold (fun _ n acc -> acc + n) sizes 0 in
+  { entries = Hashtbl.length sizes; bytes; stale = !stale; corrupt = !corrupt }
 
 type sweep = { removed : int; skipped : int }
 
-let remove_matching ~dir keep =
-  let removed = ref 0 and skipped = ref 0 in
-  iter_files ~dir (fun path ->
-      if not (keep (classify path)) then (
-        match Sys.remove path with
-        | () -> incr removed
-        | exception Sys_error _ ->
-          (* Undeletable (permission, or a directory squatting on an
-             entry path): report it and keep sweeping. *)
-          incr skipped));
-  { removed = !removed; skipped = !skipped }
+(* Delete [segments] of [dir], counting the records of those deleted;
+   the next lookup re-reads. *)
+let delete dir segments =
+  (shard dir).current <- false;
+  List.fold_left
+    (fun sweep (path, records) ->
+      match Sys.remove path with
+      | () -> { sweep with removed = sweep.removed + records }
+      | exception Sys_error _ -> { sweep with skipped = sweep.skipped + 1 })
+    { removed = 0; skipped = 0 }
+    segments
 
-let clear ~dir = remove_matching ~dir (fun _ -> false)
+let clear ~dir =
+  Mutex.protect lock (fun () -> delete dir (read_all dir (fun _ _ -> ())))
+
+(* [records] as a new segment: written to a temporary file, then
+   renamed over a segment name [open_segment] reserved. *)
+let write_segment dir records =
+  match open_segment dir with
+  | None -> false
+  | Some (seg, oc) -> (
+    close_out_noerr oc;
+    let tmp = seg ^ ".tmp" in
+    try
+      Out_channel.with_open_bin tmp (fun oc ->
+          Record.output_header oc ~magic;
+          Hashtbl.iter (fun key p -> Record.output_data oc ~key p) records);
+      Sys.rename tmp seg;
+      true
+    with Sys_error _ ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ tmp; seg ];
+      false)
 
 let prune ~dir =
-  remove_matching ~dir (function Valid _ -> true | Stale | Corrupt | Tmp -> false)
-
-let entry_path = path_of_key
+  Mutex.protect lock (fun () ->
+      let keep = Hashtbl.create 64 in
+      let segments =
+        read_all dir (fun _ -> function
+          | Current (key, payload) -> Hashtbl.replace keep key payload
+          | Stale | Corrupt -> ())
+      in
+      let kept = Hashtbl.length keep in
+      if kept > 0 && not (write_segment dir keep) then
+        { removed = 0; skipped = List.length segments }
+      else
+        let swept = delete dir segments in
+        { swept with removed = max 0 (swept.removed - kept) })

@@ -1,57 +1,55 @@
-(** On-disk tier of the replication cache.
+(** On-disk tier of the replication cache: append-only segments
+    [dir/<pid>-<n>.seg] in the campaign manifests' record format
+    ({!Record}), a [wtcp-cache <engine_version>] header then one
+    [data <key> <payload>] line per stored cell.
 
-    Entries live under [dir/<k2>/<key>] where [k2] is the first two
-    hex digits of the key.  Each entry is a small text file carrying
-    a magic + engine-version header, the key it was stored under, the
-    payload, and a terminator line — so a truncated write, a garbled
-    file, a renamed file or an entry minted by a different engine
-    version all fail validation and read as a miss, never as wrong
-    data.  Writes go through a unique temporary file renamed into
-    place, so concurrent writers (multiple domains or processes) can
-    race on the same key without ever exposing a partial entry. *)
+    Each process appends to a segment of its own, created exclusively;
+    its domains share it under one lock.  A record counts only once its
+    newline has been read, so a torn tail, or a reader racing a writer,
+    never yields a partial record.  Torn, garbled, foreign and
+    stale-version records read as misses, never as wrong data.  Only
+    the [*.seg] files are the store's: the manifests under
+    [campaigns/] are never read, counted or removed. *)
 
 val get : dir:string -> key:string -> string option
-(** The stored payload, or [None] on a missing, truncated, corrupt
-    or version-stale entry.  Never raises. *)
+(** The stored payload, or [None].  The first lookup in [dir], and the
+    first after {!reread}, indexes every segment; the last valid record
+    of a key wins.  Never raises. *)
 
 val put : dir:string -> key:string -> string -> unit
-(** Store the payload atomically (temp file + rename), creating the
-    cache directories as needed.  I/O failures are swallowed — a
-    cache that cannot write degrades to a smaller cache, not to a
-    failed sweep. *)
+(** Append and flush the record to this process's segment in [dir],
+    creating both as needed, and add it to the index, so a [get] after
+    a [put] hits.  I/O failures are swallowed: a cache that cannot
+    write degrades to a smaller cache, not to a failed sweep. *)
+
+val reread : unit -> unit
+(** Make the next {!get} in every directory re-read the segments, so a
+    record that is gone or damaged on disk stops being served. *)
 
 type stats = {
-  entries : int;  (** valid entries for the current engine version *)
-  bytes : int;  (** total size of valid entries *)
-  stale : int;  (** well-formed entries from another engine version *)
-  corrupt : int;  (** unreadable, truncated or mislabelled files *)
+  entries : int;  (** distinct keys with a current-version record *)
+  bytes : int;  (** size of one such record per key *)
+  stale : int;  (** well-formed records of another engine version *)
+  corrupt : int;
+      (** other lines, torn tails and unreadable segments *)
 }
 
 val stats : dir:string -> stats
-(** Classify every file in the key-prefix directories under [dir];
-    other subdirectories (the campaign manifests under [campaigns/])
-    are not the cache's and are never walked.  A missing directory
-    is an empty cache.  Entries that cannot be read count as corrupt;
-    entries or subdirectories that vanish mid-walk are skipped — the
-    walk never aborts on a damaged tree. *)
+(** Classify every record; a missing directory is an empty store. *)
 
 type sweep = {
-  removed : int;  (** files actually deleted *)
-  skipped : int;  (** files that could not be deleted (permission,
-                      a directory squatting on an entry path, ...) *)
+  removed : int;  (** records dropped *)
+  skipped : int;  (** segments that could not be deleted *)
 }
 
 val clear : dir:string -> sweep
-(** Remove every cache file (valid, stale, corrupt and leftover
-    temporaries) in the directories {!stats} walks.  Undeletable files
-    are counted in [skipped], never raised on: a damaged tree degrades
-    the sweep, it does not abort it. *)
+(** Delete every segment; an undeletable one (a directory squatting on
+    a segment name, say) is counted, never raised on. *)
 
 val prune : dir:string -> sweep
-(** Remove only stale, corrupt and leftover temporary files, keeping
-    valid current-version entries; same degradation contract as
-    {!clear}. *)
-
-val entry_path : dir:string -> key:string -> string
-(** Where {!put} stores [key]'s entry — exposed for tests that need
-    to damage entries deliberately. *)
+(** Write the valid records, one per key, into a new segment (written,
+    then renamed into place) and delete the old ones, dropping stale,
+    corrupt and duplicate records.  If the new segment cannot be
+    written nothing is deleted.  A record another process appends
+    while a prune runs may be lost, as a miss; a writer whose segment
+    a clear or prune deleted starts a new one at its next put. *)

@@ -3,9 +3,6 @@
     Each point is measured over several seeds and summarised; the
     paper reports means whose standard deviation stays below 4%. *)
 
-val default_replications : int
-(** 10. *)
-
 val seeds : replications:int -> int list
 (** The deterministic seed list used for replication ([1000·i + 17]). *)
 
@@ -21,10 +18,10 @@ val replicate :
   Topology.Scenario.t ->
   metric:(Run.measurement -> float) ->
   Metrics.Summary.t
-(** Run the scenario under each replication seed and summarise the
-    metric.  [jobs] (default 1) fans the replications out across that
-    many domains; the seed schedule is unchanged, so the summary is
-    bit-identical at any [jobs]. *)
+(** Run the scenario under each of the [replications] (default 10)
+    seeds and summarise the metric.  [jobs] (default 1) fans the
+    replications out across that many domains; the seed schedule is
+    unchanged, so the summary is bit-identical at any [jobs]. *)
 
 val measurements :
   ?replications:int ->
@@ -44,14 +41,9 @@ val measurements_all :
     ({!Sim_engine.Parallel.Pool}).  Sweep drivers prefer this over
     per-point [measurements]: one warm pool serves the whole matrix
     and each steal spans several replications.  Result [i] equals
-    [measurements scenario_i] exactly, at any [jobs].
-
-    When the replication cache is active ({!Repcache.Cache.active})
-    the batch first dedups identical (scenario, seed) cells — each
-    unique cell simulates (or is served from cache via
-    {!Run.measure_cached}) exactly once and duplicates are filled by
-    copy, counted under the cache's [deduped] stat.  Because equal
-    cells are pinned byte-identical, the results are unchanged. *)
+    [measurements scenario_i] exactly, at any [jobs].  Every run goes
+    through {!Run.measure_cached}, so the replication cache's mode
+    applies. *)
 
 val replicate_all :
   ?replications:int ->
@@ -64,9 +56,6 @@ val replicate_all :
 
 val throughput : Run.measurement -> float
 (** Metric selector: throughput in bits/s. *)
-
-val throughput_kbps : Run.measurement -> float
-(** Metric selector: throughput in kbit/s. *)
 
 val goodput : Run.measurement -> float
 val retransmitted_kbytes : Run.measurement -> float

@@ -409,13 +409,16 @@ let measurement_cell scenario =
     decode = Experiments.Run.measurement_of_string;
   }
 
-(* One cell per (row, replication), on [Sweep]'s seeded grid, so a row
-   aggregates the measurements a sweep over the same scenario would:
-   each cell's label (for its QUARANTINED line) and the cell itself. *)
-let measurement_cells ~rows ~replications scenario_of_row =
+(* One cell per (row, replication), on [Sweep]'s seeded grid with
+   every seed shifted by [seed - 1], so at seed 1 a row aggregates the
+   measurements a sweep over the same scenario would: each cell's label
+   (for its QUARANTINED line) and the cell itself. *)
+let measurement_cells ?(seed = 1) ~rows ~replications scenario_of_row =
+  let shift (r : Topology.Scenario.t) = { r with seed = r.seed + seed - 1 } in
   let runs =
-    Experiments.Sweep.seeded_runs ~replications
-      (Array.map (fun (_, row) -> scenario_of_row row) rows)
+    Array.map shift
+      (Experiments.Sweep.seeded_runs ~replications
+         (Array.map (fun (_, row) -> scenario_of_row row) rows))
   in
   ( Array.mapi
       (fun i run ->
@@ -452,7 +455,7 @@ let mean f ms = Metrics.Summary.mean (List.map f ms)
 
 let compare_cells ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc
     =
-  measurement_cells ~replications
+  measurement_cells ~seed ~replications
     ~rows:
       (Array.of_list
          (List.map
@@ -460,7 +463,7 @@ let compare_cells ~preset ~packet_size ~bad ~good ~file ~seed ~replications ~cc
             Topology.Scenario.all_schemes))
     (fun scheme ->
       Topology.Scenario.with_cc
-        (scenario preset ?packet_size ?bad ?good ?file ~seed scheme)
+        (scenario preset ?packet_size ?bad ?good ?file scheme)
         cc)
 
 let compare_render ~replications labels outcomes =

@@ -127,7 +127,8 @@ val run :
     is lost to an interrupt.
 
     Checkpointing works regardless of the {!Repcache.Cache.mode}:
-    neither the memo nor the disk tier of the cache is involved.
+    the manifest is the only file it reads or writes, never the
+    cache's store.
 
     @raise Invalid_argument if [max_attempts < 1] or
     [relax_factor < 1].

@@ -73,6 +73,13 @@ let () =
       ("advisor --bad-periods 1,4 --replications 2",
        "a1c3d5d3f7cedf0ec3da34cb52c133b1");
     ];
+  (* compare's --seed shifts every replication's seed. *)
+  let _, seed1 = stdout_of "compare --replications 1 --file 20000 --seed 1" in
+  let code, seed5 = stdout_of "compare --replications 1 --file 20000 --seed 5" in
+  check
+    (Printf.sprintf "compare --seed 5 prints other bytes than --seed 1 \
+                     (exit %d)" code)
+    (code = 0 && seed5 <> "" && seed1 <> seed5);
   let subcommands =
     [ "run"; "trace"; "advisor"; "theory"; "compare"; "handoff"; "csdp";
       "chaos"; "resume x.manifest"; "cache"; "cache stats"; "cache clear";
@@ -232,33 +239,38 @@ let () =
   let code, _ = run_wtcp (compare ^ " --cache") in
   check (Printf.sprintf "compare --cache fills the store (got %d)" code)
     (code = 0);
-  let entries =
-    List.concat_map
-      (fun sub ->
-        let d = Filename.concat forged_dir sub in
-        if String.length sub = 2 && Sys.is_directory d then
-          List.map (Filename.concat d) (Array.to_list (Sys.readdir d))
-        else [])
+  let segments =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".seg" then
+          Some (Filename.concat forged_dir f)
+        else None)
       (Array.to_list (Sys.readdir forged_dir))
   in
-  (match entries with
-  | [] -> check "compare --cache wrote entries" false
-  | entry :: _ ->
-    (* One more source timeout: the payload still decodes. *)
-    let forged =
-      List.map
-        (fun line ->
-          match String.split_on_char ' ' line with
-          | "m1" :: tb :: gp :: rk :: timeouts :: rest ->
-            String.concat " "
-              ("m1" :: tb :: gp :: rk
-              :: string_of_int (int_of_string timeouts + 1)
-              :: rest)
-          | _ -> line)
-        (String.split_on_char '\n' (slurp entry))
+  (match segments with
+  | [] -> check "compare --cache wrote a segment" false
+  | segment :: _ ->
+    (* One more source timeout in the first record: the payload still
+       decodes.  A measurement payload holds only "m1", digits and
+       spaces, so its token is the fields joined by "%20". *)
+    let forged = ref false in
+    let forge_record line =
+      match String.split_on_char ' ' line with
+      | [ "data"; key; payload ] when not !forged -> (
+        match String.split_on_char '%' payload with
+        | "m1" :: tb :: gp :: rk :: timeouts :: rest ->
+          forged := true;
+          let n = String.sub timeouts 2 (String.length timeouts - 2) in
+          let timeouts = Printf.sprintf "20%d" (int_of_string n + 1) in
+          Printf.sprintf "data %s %s" key
+            (String.concat "%" ("m1" :: tb :: gp :: rk :: timeouts :: rest))
+        | _ -> line)
+      | _ -> line
     in
-    Out_channel.with_open_bin entry (fun oc ->
-        output_string oc (String.concat "\n" forged));
+    let lines = List.map forge_record (String.split_on_char '\n' (slurp segment)) in
+    check "forged one record" !forged;
+    Out_channel.with_open_bin segment (fun oc ->
+        output_string oc (String.concat "\n" lines));
     List.iter
       (fun flags ->
         let code, err = run_wtcp (compare ^ flags) in
@@ -268,6 +280,45 @@ let () =
           (code = 1 && contains err "wtcp: verify FAILED"))
       [ " --cache-verify"; " --cache-verify --supervised" ]);
   ignore (Sys.command ("rm -rf " ^ Filename.quote forged_dir));
+  (* Two processes filling one fresh cache at once, each on two
+     domains, append to segments of their own: every record of both
+     reads back whole, and a verify pass hits every cell. *)
+  let shared_dir = Filename.temp_file "wtcp_cli" ".cache" in
+  Sys.remove shared_dir;
+  let compare =
+    Printf.sprintf
+      "compare --replications 2 --file 20000 --jobs 2 --cache-dir %s"
+      (Filename.quote shared_dir)
+  in
+  let writer =
+    Printf.sprintf "%s %s --cache >/dev/null 2>&1" (Filename.quote wtcp)
+      compare
+  in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s & a=$!; %s & b=$!; wait $a; ra=$?; wait $b; rb=$?; \
+          [ $ra -eq 0 ] && [ $rb -eq 0 ]"
+         writer writer)
+  in
+  check
+    (Printf.sprintf "two concurrent compare --cache writers exit 0 (got %d)"
+       code)
+    (code = 0);
+  let code, stats =
+    stdout_of
+      (Printf.sprintf "cache stats --cache-dir %s" (Filename.quote shared_dir))
+  in
+  check
+    (Printf.sprintf "cache stats after them: 12 entries, 0 corrupt (exit %d)"
+       code)
+    (code = 0 && contains stats "entries: 12 " && contains stats "corrupt: 0\n");
+  let code, verified = stdout_of (compare ^ " --cache-verify") in
+  check
+    (Printf.sprintf "compare --cache-verify after them: 12 hits, 0 misses \
+                     (exit %d)" code)
+    (code = 0 && contains verified "cache:      12 disk hits, 0 misses");
+  ignore (Sys.command ("rm -rf " ^ Filename.quote shared_dir));
   (* Supervised campaign + resume happy path: a finished supervised
      chaos campaign leaves a manifest; resuming it restores every
      cell and writes a byte-identical JSON report. *)
@@ -400,6 +451,7 @@ let () =
       ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
     [
       "compare --replications 1 --file 20000";
+      "compare --replications 1 --file 20000 --seed 5";
       "advisor --bad-periods 2 --replications 1";
       "chaos --plans 3 --check";
     ];

@@ -598,8 +598,8 @@ let test_plain_equals_checkpointed () =
         (Campaigns.run (wan_compare ~packet_size:100_000 ~replications:1 ())))
 
 (* The cache front-end is process-global: point it at [dir] for [f],
-   then put it back off, on its old directory, with an empty memo and
-   zeroed stats. *)
+   then put it back off, on its old directory, with the store due for a
+   re-read and zeroed stats. *)
 let with_cache dir f =
   let saved = Cache.dir () in
   let reset () =
