@@ -209,6 +209,18 @@ let test_figure_pins () =
             (md5 (fig7_csv ~jobs)))
         [ 1; 4 ])
 
+(* Figures 3-5 read the source-side trace: its sends, their
+   retransmission marks and its timeouts.  MD5 and length of the
+   rendered text, so a change in what the trace records, or in whether
+   it records at all, fails here. *)
+let fig_traces_md5 = "de85b1cc2fde8d00194ddd8d596230bd"
+let fig_traces_bytes = 10958
+
+let test_fig_traces_pin () =
+  let text = Fig_traces.render_all () in
+  Alcotest.(check int) "figs 3-5 length" fig_traces_bytes (String.length text);
+  Alcotest.(check string) "figs 3-5 MD5" fig_traces_md5 (md5 text)
+
 (* ------------------------------------------------------------------ *)
 (* CSDP                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -315,6 +327,7 @@ let () =
             test_fig_traces_local_recovery_beats_basic;
           Alcotest.test_case "fig7/fig10 MD5 pins at jobs=1 and jobs=4" `Quick
             test_figure_pins;
+          Alcotest.test_case "figs 3-5 MD5 pin" `Quick test_fig_traces_pin;
         ] );
       ( "csdp",
         [
