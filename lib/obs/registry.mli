@@ -36,6 +36,11 @@ val observe : histogram -> float -> unit
 (** Record one sample.  Histograms track count, sum, min, max and
     counts per binary order of magnitude. *)
 
+val observe_int : histogram -> int -> unit
+(** [observe_int h n] is [observe h (float_of_int n)], but converts
+    only when [h] is live, so an integer sample on a disabled
+    histogram allocates nothing. *)
+
 val to_jsonl : t -> string
 (** One JSON line per metric, sorted by name.  Empty string for a
     disabled registry. *)

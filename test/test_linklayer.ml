@@ -515,6 +515,45 @@ let test_arq_early_link_ack_deferred () =
   Alcotest.(check bool) "idle" true (Arq.idle rig.arq);
   Arq.check_invariants rig.arq
 
+(* The per-frame completion path allocates nothing once the entry
+   pool is warm: a link ack finds the frame's slot, samples the
+   (disabled) attempts histogram, releases the slot and recycles the
+   entry.  Nothing acks on its own here: the frames have left the
+   transmitter and wait for acks whose timeout is far away. *)
+let test_arq_link_ack_allocates_nothing () =
+  let sim = Simulator.create ~seed:5 () in
+  let down = make_link sim in
+  Wireless_link.set_receiver down ignore;
+  let config =
+    {
+      Arq.default_config with
+      ack_timeout_margin = Simtime.span_sec 1000.0;
+    }
+  in
+  let arq = Arq.create sim ~rng:(Rng.split (Simulator.rng sim)) ~config ~link:down in
+  let fill () =
+    for i = 0 to config.Arq.window - 1 do
+      ignore (Arq.send arq ~conn:0 (Frame.Whole (mk_data ~id:i ~len:88 ())))
+    done;
+    Simulator.run ~until:(Simtime.add (Simulator.now sim) (sec 10.0)) sim
+  in
+  let ack_all ~first =
+    for seq = first to first + config.Arq.window - 1 do
+      Arq.handle_link_ack arq ~acked_seq:seq
+    done
+  in
+  fill ();
+  ack_all ~first:0;
+  fill ();
+  Alcotest.(check int) "window in flight" config.Arq.window (Arq.in_flight arq);
+  let before = Gc.minor_words () in
+  ack_all ~first:config.Arq.window;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every frame completed" (2 * config.Arq.window)
+    (Arq.stats arq).Arq.completions;
+  Alcotest.(check bool) "idle" true (Arq.idle arq);
+  Alcotest.(check (float 0.0)) "words per completing link ack" 0.0 words
+
 let test_receiver_resequences () =
   let sim = Simulator.create () in
   let delivered = ref [] in
@@ -822,6 +861,8 @@ let () =
           Alcotest.test_case "spurious ack" `Quick test_arq_spurious_ack_counted;
           Alcotest.test_case "early link ack deferred" `Quick
             test_arq_early_link_ack_deferred;
+          Alcotest.test_case "completing link ack allocates nothing" `Quick
+            test_arq_link_ack_allocates_nothing;
         ] );
       ( "fault hooks",
         [

@@ -94,6 +94,27 @@ let test_registry_disabled_noop () =
     (Obs.Registry.enabled Obs.Registry.disabled);
   Alcotest.(check string) "renders empty" "" (Obs.Registry.to_jsonl Obs.Registry.disabled)
 
+(* [observe_int] records what [observe] of the converted float does,
+   and on a disabled histogram it allocates nothing: the ARQ attempt
+   and RTT histograms take one sample per frame or ack on every run. *)
+let test_registry_observe_int () =
+  let render observe =
+    let r = Obs.Registry.create () in
+    let h = Obs.Registry.histogram r "attempts" in
+    List.iter (observe h) [ 1; 2; 13; 0 ];
+    Obs.Registry.to_jsonl r
+  in
+  Alcotest.(check string) "same line as observe"
+    (render (fun h n -> Obs.Registry.observe h (float_of_int n)))
+    (render Obs.Registry.observe_int);
+  let h = Obs.Registry.histogram Obs.Registry.disabled "attempts" in
+  let before = Gc.minor_words () in
+  for n = 1 to 1000 do
+    Obs.Registry.observe_int h n
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "words on a disabled histogram" 0.0 words
+
 (* ------------------------------------------------------------------ *)
 (* Trace and Invariant                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -566,6 +587,7 @@ let () =
             test_registry_counters_and_gauges;
           Alcotest.test_case "histogram" `Quick test_registry_histogram;
           Alcotest.test_case "disabled noop" `Quick test_registry_disabled_noop;
+          Alcotest.test_case "observe_int" `Quick test_registry_observe_int;
         ] );
       ( "trace",
         [
