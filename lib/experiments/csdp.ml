@@ -188,7 +188,7 @@ let run ?(n_conns = 2) ?(file_bytes = 51_200) ?(seed = 1) ~policy () =
   Node.set_local_handler fh (fun pkt ->
       match pkt.Packet.kind with
       | Packet.Tcp_ack { ack; sack; _ } ->
-        Tcp_sender.handle_ack ~sack (senders_by_conn pkt) ~ack
+        Tcp_sender.handle_ack_sack (senders_by_conn pkt) ~ack ~sack
       | Packet.Tcp_data _ | Packet.Ebsn _ | Packet.Source_quench _ -> ());
   Array.iteri
     (fun i (node, _) ->

@@ -162,7 +162,7 @@ let run ?(file_bytes = 51_200) ?(residence_sec = 8.0) ?(blackout_sec = 0.5)
   Node.set_local_handler fh (fun pkt ->
       match pkt.Packet.kind with
       | Packet.Tcp_ack { ack; sack; _ } ->
-        Tcp_sender.handle_ack ~sack sender ~ack
+        Tcp_sender.handle_ack_sack sender ~ack ~sack
       | Packet.Tcp_data _ | Packet.Ebsn _ | Packet.Source_quench _ -> ());
 
   (* Mobility: leave the current cell every [residence_sec]; re-attach

@@ -60,9 +60,13 @@ let cancel_delack t =
 
 (* RFC 2018: report up to three out-of-order blocks so a SACK sender
    can retransmit holes only.  We report the lowest blocks (the ones
-   adjacent to the holes the sender must fill first). *)
+   adjacent to the holes the sender must fill first).  The list is
+   immutable, so up to three buffered blocks are reported as they
+   stand, without a copy. *)
 let sack_blocks t =
-  List.filteri (fun i _ -> i < 3) t.buffered
+  match t.buffered with
+  | [] | [ _ ] | [ _; _ ] | [ _; _; _ ] -> t.buffered
+  | a :: b :: c :: _ -> [ a; b; c ]
 
 let send_ack t =
   cancel_delack t;

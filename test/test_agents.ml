@@ -147,7 +147,7 @@ let test_split_only_sends_received_bytes () =
   (* The wireless sender starts in slow start: one segment in flight. *)
   Alcotest.(check int) "first segment flows once the hole fills" 1
     (List.length !downlink_out);
-  Split_conn.handle_wireless_ack relay ~ack:536;
+  Split_conn.handle_wireless_ack relay ~ack:536 ~sack:[];
   Alcotest.(check bool) "window opens after the mobile acks" true
     (List.length !downlink_out >= 2)
 
@@ -156,7 +156,7 @@ let test_split_wireless_ack_progress () =
   ignore (Split_conn.on_forward relay (mk_data ~id:1 ~seq:0 ()));
   Alcotest.(check int) "buffered at the relay" 536
     (Split_conn.buffered_bytes relay);
-  Split_conn.handle_wireless_ack relay ~ack:536;
+  Split_conn.handle_wireless_ack relay ~ack:536 ~sack:[];
   Alcotest.(check int) "drained after the mobile acks" 0
     (Split_conn.buffered_bytes relay)
 
