@@ -15,10 +15,11 @@ let compute scheme =
     Scenario.wan ~scheme ~error_mode:Scenario.Deterministic ~mean_bad_sec:4.0
       ~mean_good_sec:10.0 ()
   in
-  let outcome = Wiring.run scenario in
+  let obs = { (Obs.Config.default ()) with Obs.Config.trace = true } in
+  let outcome = Wiring.run ~obs scenario in
   let until = Sim_engine.Simtime.of_ns (int_of_float (window_sec *. 1e9)) in
   let in_window time = Sim_engine.Simtime.(time <= until) in
-  let trace = outcome.Wiring.trace in
+  let trace = Option.get outcome.Wiring.trace in
   let timeouts_in_window =
     List.length
       (List.filter

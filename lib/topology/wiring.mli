@@ -10,7 +10,10 @@ type outcome = {
   scenario : Scenario.t;
   completed : bool;  (** [false] if the safety horizon was hit *)
   result : Tcp_tahoe.Bulk_app.result option;  (** present iff completed *)
-  trace : Metrics.Trace.t;  (** source-side packet/timeout/EBSN events *)
+  trace : Metrics.Trace.t option;
+      (** source-side sends, timeouts, EBSN and quench arrivals (the
+          events of figures 3-5), iff the run enabled tracing
+          ([Obs.Config.trace]) *)
   sender_stats : Tcp_tahoe.Tcp_stats.t;
   sink_stats : Tcp_tahoe.Tcp_sink.stats;
   arq_stats : Link_arq.Arq.stats option;  (** present iff the scheme runs ARQ *)

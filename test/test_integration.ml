@@ -13,6 +13,11 @@ end
 
 let run = Wiring.run
 
+(* The source-side trace is recorded only when the run traces. *)
+let traced_sends scenario =
+  let obs = { (Obs.Config.default ()) with Obs.Config.trace = true } in
+  Trace.sends (Option.get (Wiring.run ~obs scenario).Wiring.trace)
+
 (* ------------------------------------------------------------------ *)
 (* Conservation invariants                                             *)
 (* ------------------------------------------------------------------ *)
@@ -59,8 +64,8 @@ let test_arq_accounting () =
 (* ------------------------------------------------------------------ *)
 
 let test_trace_send_times_monotonic () =
-  let outcome = run (Scenario.wan ~scheme:Scenario.Basic ~seed:6 ()) in
-  let times = List.map (fun (t, _, _) -> t) (Trace.sends outcome.Wiring.trace) in
+  let sends = traced_sends (Scenario.wan ~scheme:Scenario.Basic ~seed:6 ()) in
+  let times = List.map (fun (t, _, _) -> t) sends in
   let rec monotone = function
     | a :: (b :: _ as rest) -> Simtime.(a <= b) && monotone rest
     | [ _ ] | [] -> true
@@ -68,8 +73,7 @@ let test_trace_send_times_monotonic () =
   Alcotest.(check bool) "sends in time order" true (monotone times)
 
 let test_first_send_covers_first_byte () =
-  let outcome = run (Scenario.wan ~seed:6 ()) in
-  match Trace.sends outcome.Wiring.trace with
+  match traced_sends (Scenario.wan ~seed:6 ()) with
   | (_, packet_number, retx) :: _ ->
     Alcotest.(check int) "first packet number 0" 0 packet_number;
     Alcotest.(check bool) "first send not a retransmission" false retx
