@@ -51,7 +51,6 @@ let span_compare = Int.compare
    would go through generic structural comparison — measurably hot,
    as [min] runs per segment on the frame-loss path. *)
 let span_min (a : span) (b : span) = if a < b then a else b
-let span_max (a : span) (b : span) = if a < b then b else a
 let compare = Int.compare
 
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b

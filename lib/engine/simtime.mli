@@ -75,9 +75,6 @@ val span_compare : span -> span -> int
 val span_min : span -> span -> span
 (** Smaller of two durations. *)
 
-val span_max : span -> span -> span
-(** Larger of two durations. *)
-
 val compare : t -> t -> int
 (** Total order on instants. *)
 

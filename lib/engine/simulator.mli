@@ -49,7 +49,7 @@ val step : t -> bool
 (** Execute the earliest pending event.  Returns [false] if none was
     pending.
     @raise Budget_exhausted if the simulator was created under an
-    event budget (see {!set_default_budget}) and has spent it. *)
+    event budget (see {!with_budget}) and has spent it. *)
 
 type fault_report = {
   error : exn;  (** the exception the event handler raised *)
@@ -80,28 +80,26 @@ exception Budget_exhausted of { budget : int; executed : int }
     function of the seed and the budget, which is what lets a
     supervisor retry the same cell at a relaxed budget tier. *)
 
-val set_default_budget : int option -> unit
-(** Set the event budget that {e subsequently created} simulators on
-    the {e current domain} inherit: [Some n] allows [n] events over
-    the simulator's lifetime, [None] (the initial state) is unlimited.
-    Domain-local on purpose: pool workers can run different cells
-    under different deadline tiers concurrently.
-    @raise Invalid_argument if [n < 1]. *)
-
 val default_budget : unit -> int option
 (** The current domain's default budget. *)
 
 val with_budget : int option -> (unit -> 'a) -> 'a
 (** [with_budget b f] runs [f] with the domain's default budget set to
-    [b], restoring the previous default afterwards (also on raise). *)
+    [b], restoring the previous default afterwards (also on raise).
+    Simulators created meanwhile on the {e current domain} inherit it:
+    [Some n] allows [n] events over the simulator's lifetime, [None]
+    (the initial state) is unlimited.  Domain-local on purpose: pool
+    workers can run different cells under different deadline tiers
+    concurrently.
+    @raise Invalid_argument if [n < 1]. *)
 
 val add_finalizer : t -> (unit -> unit) -> unit
 (** Register a cleanup action run (in registration order) before
-    {!run} re-raises a handler exception as {!Fault}.  Use it to flush
-    observability sinks so a crashing run never strands a trace
-    mid-record.  Finalizers are individually guarded: one that raises
-    is ignored and the rest still run.  They do {e not} run on a
-    normal (non-faulting) return. *)
+    {!run} re-raises a handler exception as {!Fault}, e.g. to flush
+    output a crashing run would otherwise leave half-written.
+    Finalizers are individually guarded: one that raises is ignored
+    and the rest still run.  They do {e not} run on a normal
+    (non-faulting) return. *)
 
 val run : ?until:Simtime.t -> ?max_events:int -> t -> unit
 (** Execute events in order until the queue drains, the clock passes

@@ -40,11 +40,6 @@ type event = {
   detail : string;
 }
 
-let pp_event ppf e =
-  Format.fprintf ppf "%.3fs %s/%s: %s"
-    (float_of_int e.at_ns /. 1e9)
-    (kind_name e.kind) e.component e.detail
-
 type log = { mutable rev : event list; mutable count : int }
 
 let log () = { rev = []; count = 0 }

@@ -30,8 +30,6 @@ type event = {
   detail : string;  (** human-readable description of the effect *)
 }
 
-val pp_event : Format.formatter -> event -> unit
-
 (** {2 Fault logs}
 
     An append-only record of the faults actually applied during a

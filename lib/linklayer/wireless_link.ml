@@ -227,7 +227,6 @@ let send t frame =
 let busy t = t.transmitting
 let queue_length t = Queue_drop_tail.length t.queue
 let set_blackout t on = t.blackout <- on
-let in_blackout t = t.blackout
 let set_queue_capacity t capacity = Queue_drop_tail.set_capacity t.queue capacity
 let queue_capacity t = Queue_drop_tail.capacity t.queue
 

@@ -82,8 +82,6 @@ val set_blackout : t -> bool -> unit
     Distinct from bad-state corruption: this models the link being
     {e gone} (deep fade, handoff gap), not noisy. *)
 
-val in_blackout : t -> bool
-
 val set_queue_capacity : t -> int -> unit
 (** Change the drop-tail queue capacity in place (see
     {!Queue_drop_tail.set_capacity}).  Used by fault injection to

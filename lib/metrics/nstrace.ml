@@ -50,8 +50,3 @@ let length t = t.count
 
 let to_string t =
   String.concat "\n" (List.rev t.lines) ^ if t.count = 0 then "" else "\n"
-
-let save t ~path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

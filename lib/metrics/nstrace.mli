@@ -31,6 +31,3 @@ val length : t -> int
 
 val to_string : t -> string
 (** All lines, oldest first, newline-terminated. *)
-
-val save : t -> path:string -> unit
-(** Write {!to_string} to a file. *)

@@ -7,5 +7,4 @@ let make n =
 let to_int a = a
 let equal = Int.equal
 let compare = Int.compare
-let hash a = a
 let pp ppf a = Format.fprintf ppf "n%d" a

@@ -14,7 +14,6 @@ val to_int : t -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints as ["n3"]. *)

@@ -137,5 +137,4 @@ let emit3 e ~t_ns a b c =
     finish e
   end
 
-let flush t = if t.live then Sink.flush t.sink
 let contents t = Sink.contents t.sink

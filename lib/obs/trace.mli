@@ -62,9 +62,5 @@ val emit3 : event -> t_ns:int -> int -> int -> int -> unit
     @raise Invalid_argument if the template's [Arg] count differs from
     the emitter's arity. *)
 
-val flush : t -> unit
-(** Flush the underlying sink (see {!Sink.flush}).  No-op when
-    disabled. *)
-
 val contents : t -> string option
 (** The bytes accumulated so far, when the sink is a buffer. *)

@@ -36,9 +36,3 @@ let result ~config ~sender ~sink ~file_bytes ~start_time =
       sender_stats;
       sink_stats = Tcp_sink.stats sink;
     }
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>file: %d bytes in %a@,throughput: %.0f bps@,goodput: %.3f@,%a@]"
-    r.file_bytes Simtime.pp_span r.duration r.throughput_bps r.goodput
-    Tcp_stats.pp r.sender_stats

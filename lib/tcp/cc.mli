@@ -76,9 +76,6 @@ val initial_state : Tcp_config.t -> state
 val effective_window : host -> int
 (** [min cwnd window], floored to bytes. *)
 
-val flight_bytes : host -> int
-(** Bytes in flight, capped at the effective window. *)
-
 val set_loss_threshold : host -> unit
 (** [ssthresh <- max (2*mss) (flight/2)] — the halving every variant
     applies on loss detection. *)
