@@ -164,7 +164,7 @@ let test_sack_sender_fills_holes_only () =
     [ (una + 536, una + (2 * 536)); (una + (3 * 536), una + (4 * 536)) ]
   in
   for _ = 1 to 3 do
-    Tcp_sender.handle_ack ~sack:blocks h.sender ~ack:una
+    Tcp_sender.handle_ack_sack h.sender ~ack:una ~sack:blocks
   done;
   Alcotest.(check bool) "in recovery" true
     (Tcp_sender.in_fast_recovery h.sender);
@@ -172,7 +172,7 @@ let test_sack_sender_fills_holes_only () =
   | (first, true) :: _ -> Alcotest.(check int) "first hole resent" una first
   | _ -> Alcotest.fail "expected a retransmission");
   (* The next ack fills the next hole — never the SACKed segments. *)
-  Tcp_sender.handle_ack ~sack:blocks h.sender ~ack:una;
+  Tcp_sender.handle_ack_sack h.sender ~ack:una ~sack:blocks;
   let resent = List.rev_map fst !(h.sent) in
   Alcotest.(check bool) "second hole resent" true
     (List.mem (una + (2 * 536)) resent);
@@ -186,7 +186,7 @@ let test_sack_partial_ack_continues_recovery () =
   let una = Tcp_sender.snd_una h.sender in
   let blocks = [ (una + 536, una + (2 * 536)) ] in
   for _ = 1 to 3 do
-    Tcp_sender.handle_ack ~sack:blocks h.sender ~ack:una
+    Tcp_sender.handle_ack_sack h.sender ~ack:una ~sack:blocks
   done;
   Alcotest.(check bool) "in recovery" true
     (Tcp_sender.in_fast_recovery h.sender);
