@@ -2,7 +2,9 @@
 
     Records the source-side events the paper's trace figures plot:
     every data-packet emission (packet number = seq ÷ MSS, as the
-    vertical axis of Figures 3–5), plus timeouts and notifications. *)
+    vertical axis of Figures 3–5), plus timeouts and notifications.
+    [Wiring.run] keeps one only when the run traces
+    ([Obs.Config.trace]); an untraced run records nothing. *)
 
 type event =
   | Send of {

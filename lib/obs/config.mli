@@ -1,7 +1,8 @@
 (** Per-run observability configuration.
 
     [check] runs the invariant checkers after every simulated event;
-    [trace] collects the structured JSONL event trace; [metrics]
+    [trace] collects the structured JSONL event trace and the
+    source-side trace of figures 3-5 ([Wiring.outcome.trace]); [metrics]
     collects the metrics registry.  All three default to off, which
     costs the instrumented hot paths a single branch per hook.
 
