@@ -31,6 +31,50 @@ let test_jsonl_escaping () =
     "{\"k\":\"a\\\"b\\\\c\\nd\\u0001\"}\n"
     (Obs.Jsonl.line [ ("k", Obs.Jsonl.Str "a\"b\\c\nd\001") ])
 
+(* Extreme and boundary numbers for the renderers below. *)
+let gen_edge_int =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl [ 0; 9; -9; 10; -10; 99; 100; min_int; max_int; min_int + 1 ];
+        int;
+        small_signed_int;
+      ])
+
+(* Finite floats over the whole exponent range, subnormals included,
+   up to [2^max_exp]. *)
+let gen_finite_float ~max_exp =
+  QCheck2.Gen.(
+    map2 (fun m e -> Float.ldexp m e) (float_range (-1.0) 1.0)
+      (int_range (-1074) max_exp))
+
+let gen_gauge_value =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            0.0; -0.0; 1e15; -1e15; 1e15 -. 1.0; 1.0 -. 1e15; 1e15 +. 2.0;
+            0.5; -2.5; 0.1; 5e-324; -5e-324; 2.2250738585072009e-308;
+            1e300; -1e300;
+          ];
+        map float_of_int gen_edge_int;
+        map float_of_int small_signed_int;
+        gen_finite_float ~max_exp:1023;
+      ])
+
+(* Ints render as [string_of_int], and floats as [%.0f] when whole and
+   below 1e15 in magnitude, [%.17g] otherwise. *)
+let prop_jsonl_numbers =
+  QCheck2.Test.make ~name:"numbers render as string_of_int, %.0f and %.17g"
+    ~count:1000 (QCheck2.Gen.pair gen_edge_int gen_gauge_value) (fun (n, v) ->
+      let float_ref =
+        if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+        else Printf.sprintf "%.17g" v
+      in
+      Obs.Jsonl.line [ ("n", Obs.Jsonl.Int n); ("v", Obs.Jsonl.Float v) ]
+      = Printf.sprintf "{\"n\":%s,\"v\":%s}\n" (string_of_int n) float_ref)
+
 (* ------------------------------------------------------------------ *)
 (* Sink                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -114,6 +158,128 @@ let test_registry_observe_int () =
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0)) "words on a disabled histogram" 0.0 words
+
+(* The registry renders what [Jsonl.line] renders for a model of its
+   instruments: counters sum, a gauge keeps its last value, and a
+   histogram's bucket is [Float.frexp]'s exponent shifted by 32 and
+   clamped to [0, 63] (bucket 0 also holds every non-positive sample).
+   Lines sort by name; a name shared by two kinds renders histogram,
+   then gauge, then counter. *)
+let registry_reference ops =
+  let open Obs.Jsonl in
+  (* Merge updates by name, keeping each name once. *)
+  let merge combine pairs =
+    List.fold_left
+      (fun acc (k, v) ->
+        match List.assoc_opt k acc with
+        | Some old -> (k, combine old v) :: List.remove_assoc k acc
+        | None -> (k, v) :: acc)
+      [] pairs
+  in
+  let counters =
+    merge ( + ) (List.filter_map (function `C c -> Some c | _ -> None) ops)
+  in
+  let gauges =
+    merge (fun _ v -> v) (List.filter_map (function `G g -> Some g | _ -> None) ops)
+  in
+  let histograms =
+    merge ( @ ) (List.filter_map (function `H h -> Some h | _ -> None) ops)
+  in
+  let bucket v =
+    if v <= 0.0 then 0 else Int.max 0 (Int.min 63 (snd (Float.frexp v) + 32))
+  in
+  let histogram_line (name, samples) =
+    let n = List.length samples in
+    let sum = List.fold_left ( +. ) 0.0 samples in
+    let lo = List.fold_left (fun m v -> if v < m then v else m) Float.infinity samples in
+    let hi =
+      List.fold_left (fun m v -> if v > m then v else m) Float.neg_infinity samples
+    in
+    let counts = Array.make 64 0 in
+    List.iter (fun v -> counts.(bucket v) <- counts.(bucket v) + 1) samples;
+    let buckets =
+      List.filter_map
+        (fun b ->
+          if counts.(b) > 0 then Some (Printf.sprintf "b%d" (b - 32), Int counts.(b))
+          else None)
+        (List.init 64 Fun.id)
+    in
+    ( name,
+      line
+        ([
+           ("metric", Str name);
+           ("type", Str "histogram");
+           ("count", Int n);
+           ("sum", Float sum);
+         ]
+        @ (if n = 0 then [] else [ ("min", Float lo); ("max", Float hi) ])
+        @ buckets) )
+  in
+  List.map histogram_line histograms
+  @ List.map
+      (fun (name, v) ->
+        (name, line [ ("metric", Str name); ("type", Str "gauge"); ("value", Float v) ]))
+      gauges
+  @ List.map
+      (fun (name, n) ->
+        (name, line [ ("metric", Str name); ("type", Str "counter"); ("value", Int n) ]))
+      counters
+  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd |> String.concat ""
+
+let prop_registry_equals_reference =
+  let open QCheck2.Gen in
+  let name =
+    string_size ~gen:(oneofl [ 'a'; 'b'; '.'; '"'; '\\'; '\n'; '\001' ]) (int_range 0 4)
+  in
+  (* Zero, negatives, subnormals, and values past both clamped end
+     buckets (below 2^-32 and from 2^30 up). *)
+  let sample =
+    oneof
+      [
+        oneofl
+          [
+            0.0; -0.0; -1.0; -1e300; 5e-324; 1e-310; 1e-300; 1e-20;
+            Float.ldexp 1.0 (-33); Float.ldexp 1.0 (-32); Float.ldexp 1.0 30;
+            Float.ldexp 1.0 31; 1e20; 1e300; 1.0; 0.75; 3.0; 13.0;
+          ];
+        gen_finite_float ~max_exp:200;
+        map float_of_int small_signed_int;
+      ]
+  in
+  let op =
+    oneof
+      [
+        map2 (fun k n -> `C (k, n)) name gen_edge_int;
+        map2 (fun k v -> `G (k, v)) name gen_gauge_value;
+        map2 (fun k s -> `H (k, s)) name (list_size (int_range 0 6) sample);
+      ]
+  in
+  QCheck2.Test.make ~name:"to_jsonl equals the Jsonl.line reference" ~count:500
+    (let* before = list_size (int_range 0 8) op in
+     let* after = list_size (int_range 0 8) op in
+     let* shared = name in
+     let* n = gen_edge_int in
+     let* v = gen_gauge_value in
+     let* samples = list_size (int_range 0 4) sample in
+     let+ kinds = oneofl [ `Cg; `Ch; `Gh; `Cgh ] in
+     let shared_ops =
+       (match kinds with `Gh -> [] | _ -> [ `C (shared, n) ])
+       @ (match kinds with `Ch -> [] | _ -> [ `G (shared, v) ])
+       @ match kinds with `Cg -> [] | _ -> [ `H (shared, samples) ]
+     in
+     before @ shared_ops @ after)
+    (fun ops ->
+      let r = Obs.Registry.create () in
+      List.iter
+        (function
+          | `C (k, n) -> Obs.Registry.add (Obs.Registry.counter r k) n
+          | `G (k, v) -> Obs.Registry.set (Obs.Registry.gauge r k) v
+          | `H (k, samples) ->
+            let h = Obs.Registry.histogram r k in
+            List.iter (Obs.Registry.observe h) samples)
+        ops;
+      Obs.Registry.to_jsonl r = registry_reference ops)
 
 (* ------------------------------------------------------------------ *)
 (* Trace and Invariant                                                 *)
@@ -575,6 +741,7 @@ let () =
           Alcotest.test_case "field order" `Quick test_jsonl_field_order;
           Alcotest.test_case "float repr" `Quick test_jsonl_float_repr;
           Alcotest.test_case "escaping" `Quick test_jsonl_escaping;
+          qc prop_jsonl_numbers;
         ] );
       ( "sink",
         [
@@ -588,6 +755,7 @@ let () =
           Alcotest.test_case "histogram" `Quick test_registry_histogram;
           Alcotest.test_case "disabled noop" `Quick test_registry_disabled_noop;
           Alcotest.test_case "observe_int" `Quick test_registry_observe_int;
+          qc prop_registry_equals_reference;
         ] );
       ( "trace",
         [
