@@ -4,26 +4,47 @@ type value =
   | Str of string
   | Bool of bool
 
+let hex_digits = "0123456789abcdef"
+
 let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when c < ' ' ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+      Buffer.add_char buf hex_digits.[Char.code c land 15]
+    | c -> Buffer.add_char buf c
+  done
+
+(* Digits of [m <= 0], most significant first.  Working on the
+   non-positive magnitude lets [min_int] through without a special
+   case, and the recursion keeps the digits on the stack. *)
+let rec add_digits buf m =
+  let q = m / 10 in
+  if q <> 0 then add_digits buf q;
+  Buffer.add_char buf (Char.unsafe_chr (48 + (q * 10) - m))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
 
 (* Whole floats render without an exponent so counters exported as
    floats stay readable; everything else gets a round-trippable
    representation. *)
-let float_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+let add_float buf v =
+  if Float.is_integer v && Float.abs v < 1e15 then begin
+    if v = 0.0 && Float.sign_bit v then Buffer.add_string buf "-0"
+    else add_int buf (int_of_float v)
+  end
+  else Printf.bprintf buf "%.17g" v
 
 let add_key buf k =
   Buffer.add_char buf '"';
@@ -31,8 +52,8 @@ let add_key buf k =
   Buffer.add_string buf "\":"
 
 let add_value buf = function
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float v -> Buffer.add_string buf (float_repr v)
+  | Int n -> add_int buf n
+  | Float v -> add_float buf v
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Str s ->
     Buffer.add_char buf '"';

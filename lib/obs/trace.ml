@@ -3,20 +3,10 @@ type t = {
   sink : Sink.t;
   buf : Buffer.t;  (* the sink's own buffer, or a one-line scratch *)
   direct : bool;  (* [buf] belongs to the sink: lines land in place *)
-  digits : Bytes.t;  (* scratch for the integer writer *)
 }
 
-(* Wide enough for [min_int]: 19 digits and a sign. *)
-let max_digits = 20
-
 let disabled =
-  {
-    live = false;
-    sink = Sink.null;
-    buf = Buffer.create 1;
-    direct = true;
-    digits = Bytes.create 0;
-  }
+  { live = false; sink = Sink.null; buf = Buffer.create 1; direct = true }
 
 let create ~sink () =
   let buf, direct =
@@ -24,7 +14,7 @@ let create ~sink () =
     | Some b -> (b, true)
     | None -> (Buffer.create 256, false)
   in
-  { live = true; sink; buf; direct; digits = Bytes.create max_digits }
+  { live = true; sink; buf; direct }
 
 let[@inline] enabled t = t.live
 
@@ -75,31 +65,10 @@ let event trace ~comp ~ev fields =
   | [ k1; k2; k3 ] -> { trace; arity = 3; k1; k2; k3; tail }
   | _ -> invalid_arg "Obs.Trace.event: needs 1 to 3 Arg fields"
 
-(* Decimal digits straight into the line.  Works on the non-positive
-   magnitude, so [min_int] needs no special case. *)
-let add_int t n =
-  if n >= 0 && n < 10 then Buffer.add_char t.buf (Char.unsafe_chr (48 + n))
-  else begin
-    let d = t.digits in
-    let m = ref (if n < 0 then n else -n) in
-    let i = ref max_digits in
-    while !m <> 0 do
-      let q = !m / 10 in
-      decr i;
-      Bytes.unsafe_set d !i (Char.unsafe_chr (48 + ((q * 10) - !m)));
-      m := q
-    done;
-    if n < 0 then begin
-      decr i;
-      Bytes.unsafe_set d !i '-'
-    end;
-    Buffer.add_subbytes t.buf d !i (max_digits - !i)
-  end
-
 let start e ~arity ~t_ns =
   if e.arity <> arity then invalid_arg "Obs.Trace.emit: arity mismatch";
   Buffer.add_string e.trace.buf "{\"t\":";
-  add_int e.trace t_ns;
+  Jsonl.add_int e.trace.buf t_ns;
   Buffer.add_string e.trace.buf e.k1
 
 let finish e =
@@ -113,27 +82,27 @@ let finish e =
 let emit1 e ~t_ns a =
   if e.trace.live then begin
     start e ~arity:1 ~t_ns;
-    add_int e.trace a;
+    Jsonl.add_int e.trace.buf a;
     finish e
   end
 
 let emit2 e ~t_ns a b =
   if e.trace.live then begin
     start e ~arity:2 ~t_ns;
-    add_int e.trace a;
+    Jsonl.add_int e.trace.buf a;
     Buffer.add_string e.trace.buf e.k2;
-    add_int e.trace b;
+    Jsonl.add_int e.trace.buf b;
     finish e
   end
 
 let emit3 e ~t_ns a b c =
   if e.trace.live then begin
     start e ~arity:3 ~t_ns;
-    add_int e.trace a;
+    Jsonl.add_int e.trace.buf a;
     Buffer.add_string e.trace.buf e.k2;
-    add_int e.trace b;
+    Jsonl.add_int e.trace.buf b;
     Buffer.add_string e.trace.buf e.k3;
-    add_int e.trace c;
+    Jsonl.add_int e.trace.buf c;
     finish e
   end
 

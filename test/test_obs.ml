@@ -140,7 +140,9 @@ let test_registry_disabled_noop () =
 
 (* [observe_int] records what [observe] of the converted float does,
    and on a disabled histogram it allocates nothing: the ARQ attempt
-   and RTT histograms take one sample per frame or ack on every run. *)
+   and RTT histograms take one sample per frame or ack on every run.
+   On a live histogram neither allocates either: the sum, min and max
+   are stored unboxed and the bucket comes from the exponent bits. *)
 let test_registry_observe_int () =
   let render observe =
     let r = Obs.Registry.create () in
@@ -157,7 +159,22 @@ let test_registry_observe_int () =
     Obs.Registry.observe_int h n
   done;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.0)) "words on a disabled histogram" 0.0 words
+  Alcotest.(check (float 0.0)) "words on a disabled histogram" 0.0 words;
+  let h = Obs.Registry.histogram (Obs.Registry.create ()) "attempts" in
+  (* Boxed before the count starts, as a caller's float field is. *)
+  let samples = List.init 1000 (fun i -> (float_of_int (i - 100) *. 1.5) +. 0.25) in
+  let observe = Obs.Registry.observe h in
+  let before = Gc.minor_words () in
+  List.iter observe samples;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "words of observe on a live histogram" 0.0 words;
+  let before = Gc.minor_words () in
+  for n = -100 to 899 do
+    Obs.Registry.observe_int h n
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "words of observe_int on a live histogram" 0.0
+    words
 
 (* The registry renders what [Jsonl.line] renders for a model of its
    instruments: counters sum, a gauge keeps its last value, and a
