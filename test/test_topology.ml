@@ -282,17 +282,18 @@ let test_source_trace_only_when_tracing () =
       (Scenario.Basic, 6, 347, "85585bbdccd2912f95e122e09f551a52");
     ]
 
-(* Minor-heap words per executed event for one run, after a warm-up
-   run of the same scenario.  Exact counts depend on the compiler, so
-   whole runs get a ceiling, about 10% above what the packet path
-   reaches with OCaml 5.1 in the dev profile (4.99 WAN, 5.00 LAN),
+(* Minor-heap words per executed event for one run under [obs], after
+   a warm-up run of the same scenario.  Exact counts depend on the
+   compiler, so whole runs get a ceiling, about 10% above what the
+   packet path reaches with OCaml 5.1 in the dev profile (4.99 WAN,
+   5.00 LAN with obs off; 6.05 WAN with checking, trace and metrics),
    rather than an equality.  What is left is mostly the packets,
-   frames, link acks, reassembly entries and EBSN packets
-   themselves. *)
-let check_words_per_event scenario ~ceiling =
-  ignore (run scenario);
+   frames, link acks, reassembly entries and EBSN packets themselves,
+   and with obs on the trace's text and the registry's instruments. *)
+let check_words_per_event ~obs scenario ~ceiling =
+  ignore (run ~obs scenario);
   let before = Gc.minor_words () in
-  let outcome = run scenario in
+  let outcome = run ~obs scenario in
   let words = Gc.minor_words () -. before in
   let per_event = words /. float_of_int outcome.Wiring.events_executed in
   Alcotest.(check bool)
@@ -300,11 +301,18 @@ let check_words_per_event scenario ~ceiling =
     true (per_event <= ceiling)
 
 let test_wan_words_per_event () =
-  check_words_per_event (Scenario.wan ~scheme:Scenario.Ebsn ~seed:1 ())
+  check_words_per_event ~obs:Obs.Config.off
+    (Scenario.wan ~scheme:Scenario.Ebsn ~seed:1 ())
     ~ceiling:5.5
 
 let test_lan_words_per_event () =
-  check_words_per_event (Scenario.lan ~seed:1 ()) ~ceiling:5.5
+  check_words_per_event ~obs:Obs.Config.off (Scenario.lan ~seed:1 ())
+    ~ceiling:5.5
+
+let test_observed_wan_words_per_event () =
+  check_words_per_event ~obs:Obs.Config.all
+    (Scenario.wan ~scheme:Scenario.Ebsn ~seed:1 ())
+    ~ceiling:6.6
 
 let () =
   Alcotest.run "topology"
@@ -349,5 +357,7 @@ let () =
             test_lan_words_per_event;
           Alcotest.test_case "source trace only when tracing" `Quick
             test_source_trace_only_when_tracing;
+          Alcotest.test_case "observed wan ebsn words per event" `Quick
+            test_observed_wan_words_per_event;
         ] );
     ]
