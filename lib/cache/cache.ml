@@ -55,12 +55,3 @@ let reset_stats () =
   List.iter
     (fun c -> Atomic.set c 0)
     [ disk_hits; misses; stores; verify_ok; verify_fail ]
-
-let record_metrics registry =
-  let c name v = Obs.Registry.add (Obs.Registry.counter registry name) v in
-  let s = stats () in
-  c "engine.cache.disk_hits" s.disk_hits;
-  c "engine.cache.misses" s.misses;
-  c "engine.cache.stores" s.stores;
-  c "engine.cache.verify_ok" s.verify_ok;
-  c "engine.cache.verify_fail" s.verify_fail

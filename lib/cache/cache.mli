@@ -63,10 +63,3 @@ val stats : unit -> stats
 
 val reset_stats : unit -> unit
 (** Zero the counters — test support. *)
-
-val record_metrics : Obs.Registry.t -> unit
-(** Fold {!stats} into a registry as the
-    [engine.cache.{disk_hits,misses,stores,verify_ok,verify_fail}]
-    counter group.  Like the pool counters, never folded into per-run
-    metrics automatically: cache counters vary with cache state,
-    which would break per-run byte-identity. *)

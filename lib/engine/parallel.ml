@@ -30,15 +30,6 @@ module Pool = struct
       batches = Atomic.get batches_total;
     }
 
-  let record_metrics registry =
-    let c name v = Obs.Registry.add (Obs.Registry.counter registry name) v in
-    let s = stats () in
-    c "engine.pool.domains_spawned" s.domains_spawned;
-    c "engine.pool.tasks" s.tasks;
-    c "engine.pool.steals" s.steals;
-    c "engine.pool.chunks" s.chunks;
-    c "engine.pool.batches" s.batches
-
   type t = {
     mutable helpers : unit Domain.t list;
     mutable helper_count : int;

@@ -92,13 +92,6 @@ module Pool : sig
   (** Process-lifetime counters (monotone; survive {!shutdown}).
       [domains_spawned <= jobs - 1] for a process whose calls all use
       the same [jobs] — the "spawn once per process" property. *)
-
-  val record_metrics : Obs.Registry.t -> unit
-  (** Fold {!stats} into a registry as the
-      [engine.pool.{domains_spawned,tasks,steals,chunks,batches}]
-      counter group.  Not folded into per-run metrics automatically:
-      pool counters are process-global and vary with [jobs], which
-      would break the byte-identity of per-run observability. *)
 end
 
 val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array

@@ -598,27 +598,6 @@ let test_verify_detects_poison () =
     (Run.measurement_to_string verified);
   Alcotest.(check int) "counted ok" 1 (Cache.stats ()).Cache.verify_ok
 
-let test_cache_metrics_registry () =
-  with_cache_dir @@ fun _dir ->
-  Cache.set_mode Cache.On;
-  ignore (Sweep.measurements ~replications:2 (small_wan ()));
-  let registry = Obs.Registry.create () in
-  Cache.record_metrics registry;
-  let rendered = Obs.Registry.to_jsonl registry in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool)
-        (name ^ " exported") true
-        (let nn = String.length name and nr = String.length rendered in
-         let rec go i =
-           i + nn <= nr && (String.sub rendered i nn = name || go (i + 1))
-         in
-         go 0))
-    [
-      "engine.cache.disk_hits"; "engine.cache.misses"; "engine.cache.stores";
-      "engine.cache.verify_ok"; "engine.cache.verify_fail";
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Figure CSVs: warm vs cold at jobs=1 and jobs=4                      *)
 (* ------------------------------------------------------------------ *)
@@ -735,8 +714,6 @@ let () =
             test_corrupted_entry_is_miss_and_heals;
           Alcotest.test_case "verify detects a poisoned entry" `Quick
             test_verify_detects_poison;
-          Alcotest.test_case "engine.cache.* metrics export" `Quick
-            test_cache_metrics_registry;
         ] );
       ( "figures",
         [

@@ -166,37 +166,6 @@ let test_pool_spawn_once () =
   Alcotest.(check bool) "chunks >= steals" true
     (after.Parallel.Pool.chunks >= after.Parallel.Pool.steals)
 
-let test_pool_metrics () =
-  let pool = Parallel.Pool.get ~jobs:pool_jobs () in
-  ignore (Parallel.Pool.submit_map pool succ (Array.init 64 Fun.id));
-  let s = Parallel.Pool.stats () in
-  let registry = Obs.Registry.create () in
-  Parallel.Pool.record_metrics registry;
-  let out = Obs.Registry.to_jsonl registry in
-  let contains sub =
-    let n = String.length sub in
-    let rec scan i =
-      i + n <= String.length out && (String.sub out i n = sub || scan (i + 1))
-    in
-    scan 0
-  in
-  List.iter
-    (fun (name, value) ->
-      let line =
-        Printf.sprintf "{\"metric\":\"engine.pool.%s\",\"type\":\"counter\",\"value\":%d}"
-          name value
-      in
-      Alcotest.(check bool) (name ^ " exported") true (contains line))
-    [
-      ("domains_spawned", s.Parallel.Pool.domains_spawned);
-      ("tasks", s.Parallel.Pool.tasks);
-      ("steals", s.Parallel.Pool.steals);
-      ("chunks", s.Parallel.Pool.chunks);
-      ("batches", s.Parallel.Pool.batches);
-    ];
-  Alcotest.(check bool) "spawn-once holds when metrics are read" true
-    (s.Parallel.Pool.domains_spawned <= pool_jobs - 1)
-
 let test_pool_exception_propagation () =
   Printexc.record_backtrace true;
   (* Two failing indices: the caller must see the smallest one, so
@@ -282,7 +251,6 @@ let () =
         [
           Alcotest.test_case "spawn once per process" `Quick
             test_pool_spawn_once;
-          Alcotest.test_case "metrics group" `Quick test_pool_metrics;
           Alcotest.test_case "exception and backtrace" `Quick
             test_pool_exception_propagation;
           Alcotest.test_case "spawn failure resets cleanly" `Quick
