@@ -103,6 +103,40 @@ let test_fault_plan_in_key () =
     (Fingerprint.key ~faults:(Fault_plan.make ~seed:6 [ ev ]) s
     <> Fingerprint.key ~faults:plan s)
 
+(* The version salt bound to what the engine computes.  Cache hits and
+   manifest resumes trust every payload stored under the salt, so a
+   change of simulation output under an unchanged salt would serve
+   stale results.  The battery is every scheme on WAN and LAN at two
+   seeds, with small files. *)
+let salt_pin = ("wtcp-engine-1.8.0", "a97c508a1bb995e8ae8fc9485d1f473f")
+
+let battery_digest () =
+  List.concat_map
+    (fun scheme ->
+      List.concat_map
+        (fun seed ->
+          [
+            Scenario.wan ~scheme ~file_bytes:20_000 ~seed ();
+            Scenario.lan ~scheme ~file_bytes:1_000_000 ~seed ();
+          ])
+        [ 1; 2 ])
+    Scenario.all_schemes
+  |> List.map (fun s -> Run.measurement_to_string (Run.measure s))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let test_salt_bound_to_outputs () =
+  let version, md5 = salt_pin in
+  let digest = battery_digest () in
+  if Fingerprint.engine_version = version && digest <> md5 then
+    Alcotest.failf
+      "the battery's outputs changed (MD5 %s, pinned %s) under the same \
+       salt %s: bump Fingerprint.engine_version so stored payloads stop \
+       matching, then pin the new pair"
+      digest md5 version;
+  Alcotest.(check (pair string string))
+    "pinned (engine_version, battery MD5)" salt_pin
+    (Fingerprint.engine_version, digest)
+
 (* One named perturbation per knob family; qcheck picks the knob and
    a nonzero delta, and every pick must move the key. *)
 let mutations : (string * (int -> Scenario.t -> Scenario.t)) list =
@@ -683,6 +717,8 @@ let () =
             test_fault_plan_in_key;
           q prop_fingerprint_sensitivity;
           q prop_fingerprint_seed_only;
+          Alcotest.test_case "salt is bound to outputs" `Quick
+            test_salt_bound_to_outputs;
         ] );
       ( "codec",
         [
