@@ -4,9 +4,13 @@
 
 RESULT_FILE holds the stdout of `sh bench/e2e/run.sh`, whose last line
 is the JSON result.  Exits 1 when its minor_words_per_event exceeds
-CEILING.  Words per event are exact for a given compiler, so a closure
-or box added on the packet path shows up here even where timings
-cannot resolve it.
+CEILING.  Allocation does not depend on timing, so a closure or box
+added on the packet path shows up here even where timings cannot
+resolve it.  The count is not exact, though: bench/e2e reads
+Gc.quick_stat, which under OCaml 5.1 counts only completed minor
+collections, so a pass can miss up to one minor heap (256K words) per
+domain.  That is under 1% at full size, and one reason the ceilings
+keep about 5% headroom.
 """
 import json
 import sys
