@@ -21,20 +21,32 @@ let escape buf s =
     | c -> Buffer.add_char buf c
   done
 
-(* Digits of [m <= 0], most significant first.  Working on the
-   non-positive magnitude lets [min_int] through without a special
-   case, and the recursion keeps the digits on the stack. *)
-let rec add_digits buf m =
-  let q = m / 10 in
-  if q <> 0 then add_digits buf q;
-  Buffer.add_char buf (Char.unsafe_chr (48 + (q * 10) - m))
+(* Wide enough for [min_int]: 19 digits and a sign.  Each domain has
+   its own scratch, so runs on several domains never share one. *)
+let max_digits = 20
+let digits = Domain.DLS.new_key (fun () -> Bytes.create max_digits)
 
+(* The digits land backwards in the scratch and reach the buffer in one
+   copy.  Works on the non-positive magnitude, so [min_int] needs no
+   special case. *)
 let add_int buf n =
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_digits buf n
+  if n >= 0 && n < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + n))
+  else begin
+    let d = Domain.DLS.get digits in
+    let m = ref (if n < 0 then n else -n) in
+    let i = ref max_digits in
+    while !m <> 0 do
+      let q = !m / 10 in
+      decr i;
+      Bytes.unsafe_set d !i (Char.unsafe_chr (48 + ((q * 10) - !m)));
+      m := q
+    done;
+    if n < 0 then begin
+      decr i;
+      Bytes.unsafe_set d !i '-'
+    end;
+    Buffer.add_subbytes buf d !i (max_digits - !i)
   end
-  else add_digits buf (-n)
 
 (* Whole floats render without an exponent so counters exported as
    floats stay readable; everything else gets a round-trippable
