@@ -31,6 +31,21 @@ let test_jsonl_escaping () =
     "{\"k\":\"a\\\"b\\\\c\\nd\\u0001\"}\n"
     (Obs.Jsonl.line [ ("k", Obs.Jsonl.Str "a\"b\\c\nd\001") ])
 
+(* The digit writer runs several times per traced event, and whole
+   floats go through it too. *)
+let test_jsonl_digits_allocate_nothing () =
+  let buf = Buffer.create 65536 in
+  Obs.Jsonl.add_int buf 10;
+  let before = Gc.minor_words () in
+  for n = -1000 to 999 do
+    Obs.Jsonl.add_int buf (n * 1_000_003);
+    Obs.Jsonl.add_float buf 536.0
+  done;
+  Obs.Jsonl.add_int buf min_int;
+  Obs.Jsonl.add_float buf (-0.0);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "words" 0.0 words
+
 (* Extreme and boundary numbers for the renderers below. *)
 let gen_edge_int =
   QCheck2.Gen.(
@@ -759,6 +774,8 @@ let () =
           Alcotest.test_case "float repr" `Quick test_jsonl_float_repr;
           Alcotest.test_case "escaping" `Quick test_jsonl_escaping;
           qc prop_jsonl_numbers;
+          Alcotest.test_case "digits allocate nothing" `Quick
+            test_jsonl_digits_allocate_nothing;
         ] );
       ( "sink",
         [
