@@ -289,7 +289,8 @@ let test_source_trace_only_when_tracing () =
    5.00 LAN with obs off; 6.05 WAN with checking, trace and metrics),
    rather than an equality.  What is left is mostly the packets,
    frames, link acks, reassembly entries and EBSN packets themselves,
-   and with obs on the trace's text and the registry's instruments. *)
+   and with obs on the trace templates, the source-side trace and the
+   registry's instruments. *)
 let check_words_per_event ~obs scenario ~ceiling =
   ignore (run ~obs scenario);
   let before = Gc.minor_words () in
