@@ -48,9 +48,9 @@ let add_int buf n =
     Buffer.add_subbytes buf d !i (max_digits - !i)
   end
 
-(* Whole floats render without an exponent so counters exported as
-   floats stay readable; everything else gets a round-trippable
-   representation. *)
+(* Whole floats render as their digits ([-0.0] as [-0], as [%.0f]
+   renders it) so counters exported as floats stay readable; everything
+   else gets a round-trippable representation. *)
 let add_float buf v =
   if Float.is_integer v && Float.abs v < 1e15 then begin
     if v = 0.0 && Float.sign_bit v then Buffer.add_string buf "-0"
