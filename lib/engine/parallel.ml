@@ -10,7 +10,6 @@ module Pool = struct
   let domains_spawned = Atomic.make 0
   let tasks_total = Atomic.make 0
   let steals_total = Atomic.make 0
-  let chunks_total = Atomic.make 0
   let batches_total = Atomic.make 0
 
   type stats = {
@@ -21,12 +20,15 @@ module Pool = struct
     batches : int;
   }
 
+  (* Every claim is one task, so [chunks] is [tasks]; the field stays
+     only for the benchmark that reads it. *)
   let stats () =
+    let tasks = Atomic.get tasks_total in
     {
       domains_spawned = Atomic.get domains_spawned;
-      tasks = Atomic.get tasks_total;
+      tasks;
       steals = Atomic.get steals_total;
-      chunks = Atomic.get chunks_total;
+      chunks = tasks;
       batches = Atomic.get batches_total;
     }
 
@@ -42,8 +44,6 @@ module Pool = struct
     mutable job : (helper:bool -> unit) option;
     mutable stop : bool;
   }
-
-  let jobs t = t.helper_count + 1
 
   (* The one process-wide pool.  [creation_m] serialises creation,
      growth and shutdown; batches themselves are submitted only from
@@ -150,12 +150,6 @@ module Pool = struct
       raise e);
     pool
 
-  (* Each steal aims for [chunk_target_sec] of work, re-estimated from
-     the participant's own previous chunk, so coarse chunks amortise
-     the shared-cursor traffic while the tail still load-balances
-     (chunk size is capped at a fraction of the input). *)
-  let chunk_target_sec = 0.075
-
   let submit_map ?jobs pool f input =
     let n = Array.length input in
     if n = 0 then [||]
@@ -174,81 +168,49 @@ module Pool = struct
         let remaining = Atomic.make n in
         let done_m = Mutex.create () in
         let done_c = Condition.create () in
-        (* Per-steal result shards: each participant appends the
-           chunks it computed, allocated in its own domain's heap, and
-           the caller merges them by index once every task is done.
-           Indices partition [0, n), so the merge is deterministic and
-           order-preserving whatever the steal interleaving was. *)
-        let shards :
-            (int * ('b, exn * Printexc.raw_backtrace) result array) list
-            Atomic.t =
-          Atomic.make []
-        in
-        let rec push shard =
-          let old = Atomic.get shards in
-          if not (Atomic.compare_and_set shards old (shard :: old)) then
-            push shard
+        (* Each index is claimed by exactly one participant, which
+           writes its own slot, so the array is the merge: its order
+           is the input's whatever the claim interleaving was. *)
+        let results =
+          Array.make n (Error (Stdlib.Exit, Printexc.get_callstack 0))
         in
         (* Participation tokens cap helper involvement, so a
            [jobs:2] batch on a wider pool really uses one helper. *)
         let tokens = Atomic.make (limit - 1) in
-        let initial_chunk = Stdlib.max 1 (n / (limit * 64)) in
-        let max_chunk = Stdlib.max 1 (n / (4 * limit)) in
-        let steal_loop ~helper =
-          let est = ref 0.0 in
-          let continue = ref true in
-          while !continue do
-            let k =
-              if !est <= 0.0 then initial_chunk
-              else
-                Stdlib.max 1
-                  (Stdlib.min max_chunk
-                     (int_of_float (chunk_target_sec /. !est)))
-            in
-            let lo = Atomic.fetch_and_add next k in
-            if lo >= n then continue := false
-            else begin
-              let hi = Stdlib.min n (lo + k) in
-              let len = hi - lo in
-              Atomic.incr chunks_total;
-              if helper then Atomic.incr steals_total;
-              let t0 = Unix.gettimeofday () in
-              let out =
-                Array.init len (fun j ->
-                    match f input.(lo + j) with
-                    | y -> Ok y
-                    | exception e ->
-                      Error (e, Printexc.get_raw_backtrace ()))
-              in
-              let dt = Unix.gettimeofday () -. t0 in
-              let per_task =
-                if dt <= 0.0 then 1e-9 else dt /. float_of_int len
-              in
-              est :=
-                if !est <= 0.0 then per_task
-                else (0.5 *. !est) +. (0.5 *. per_task);
-              push (lo, out);
-              ignore (Atomic.fetch_and_add tasks_total len);
-              let before = Atomic.fetch_and_add remaining (-len) in
-              if before = len then begin
-                (* Last chunk of the batch: wake the caller.  The
-                   caller re-checks [remaining] under [done_m], so the
-                   signal cannot be lost. *)
-                Mutex.lock done_m;
-                Condition.signal done_c;
-                Mutex.unlock done_m
-              end
-            end
-          done
+        let rec claim ~helper =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            if helper then Atomic.incr steals_total;
+            results.(i) <-
+              (match f input.(i) with
+              | y -> Ok y
+              | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+            if Atomic.fetch_and_add remaining (-1) = 1 then begin
+              (* Last task of the batch: wake the caller.  The caller
+                 re-checks [remaining] under [done_m], so the signal
+                 cannot be lost. *)
+              Mutex.lock done_m;
+              Condition.signal done_c;
+              Mutex.unlock done_m
+            end;
+            claim ~helper
+          end
         in
+        (* Backtrace recording is per domain: a helper follows the
+           caller's setting, so a task that fails on a helper still
+           re-raises with the backtrace of its own raise. *)
+        let record_backtrace = Printexc.backtrace_status () in
         let job ~helper =
-          if not helper then steal_loop ~helper:false
+          if not helper then claim ~helper:false
           else begin
             let rec acquire () =
               let t = Atomic.get tokens in
               t > 0 && (Atomic.compare_and_set tokens t (t - 1) || acquire ())
             in
-            if acquire () then steal_loop ~helper:true
+            if acquire () then begin
+              Printexc.record_backtrace record_backtrace;
+              claim ~helper:true
+            end
           end
         in
         Mutex.lock pool.m;
@@ -266,20 +228,14 @@ module Pool = struct
         Mutex.lock pool.m;
         pool.job <- None;
         Mutex.unlock pool.m;
-        let merged =
-          Array.make n (Error (Stdlib.Exit, Printexc.get_callstack 0))
-        in
-        List.iter
-          (fun (lo, out) -> Array.blit out 0 merged lo (Array.length out))
-          (Atomic.get shards);
-        (* Every index was claimed by exactly one chunk, so [merged]
-           is fully populated; the map below visits indices in order,
-           re-raising the failure with the smallest index first. *)
+        ignore (Atomic.fetch_and_add tasks_total n);
+        (* Indices in order, so the failure with the smallest index is
+           re-raised first. *)
         Array.map
           (function
             | Ok y -> y
             | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-          merged
+          results
       end
     end
 end

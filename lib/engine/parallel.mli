@@ -1,5 +1,4 @@
-(** Work-stealing parallelism over a persistent pool of OCaml 5
-    domains.
+(** Parallel map over a persistent pool of OCaml 5 domains.
 
     Replications of a sweep are independent by construction (each
     seed owns its splitmix64 stream), so they can be fanned out
@@ -11,13 +10,11 @@
     Domains are spawned {e once per process} (lazily, on the first
     parallel call) and then reused by every later call: a whole
     figure battery pays domain-spawn cost once, not once per sweep.
-    Every domain runs with the runtime's default GC settings.  Work
-    is distributed by stealing chunks of adjacent indices off a
-    shared cursor; each steal targets tens of milliseconds of work
-    (re-estimated from the stealer's previous chunk), and every
-    participant accumulates its results in its own shard, merged by
-    index after the last task — so the output is deterministic
-    whatever the steal interleaving was.
+    Every domain runs with the runtime's default GC settings.  Each
+    participant claims one index at a time off a shared cursor and
+    writes that task's result into the output slot of the same index,
+    so the output is deterministic whatever the claim interleaving
+    was.
 
     Nesting is safe: a [map] issued from inside a pool worker runs
     sequentially on that worker instead of waiting on its own pool. *)
@@ -55,18 +52,16 @@ module Pool : sig
       for the spawn-failure recovery path, which real resource
       exhaustion would otherwise make untestable. *)
 
-  val jobs : t -> int
-  (** Workers available to a batch: spawned helpers + the caller. *)
-
   val submit_map : ?jobs:int -> t -> ('a -> 'b) -> 'a array -> 'b array
   (** [submit_map pool f input] computes [Array.map f input] on the
       pool, the caller participating.  [jobs] caps the number of
       participating workers for this batch (default: all of them).
-      Order-preserving and deterministic: results are merged by
-      index, so the output is byte-identical to the sequential map at
-      any [jobs].  If any [f x] raises, the exception for the
+      Order-preserving and deterministic: each result lands at its
+      input's index, so the output is byte-identical to the sequential
+      map at any [jobs].  If any [f x] raises, the exception for the
       smallest failing index is re-raised in the caller with its
-      original backtrace, after every task has run.  [f] must be
+      original backtrace (helpers record backtraces for the batch
+      exactly when the caller does), after every task has run.  [f] must be
       safe to run on multiple domains at once (the simulator's runs
       are: all their state is per-run).  One batch at a time, from
       the main domain only; a submission from inside a pool worker
@@ -83,8 +78,10 @@ module Pool : sig
   type stats = {
     domains_spawned : int;  (** domains ever spawned (cumulative) *)
     tasks : int;  (** tasks executed across all batches *)
-    steals : int;  (** chunks claimed by helper domains *)
-    chunks : int;  (** chunks claimed in total (helpers + callers) *)
+    steals : int;  (** tasks claimed by helper domains *)
+    chunks : int;
+        (** equal to [tasks]: every claim is one task.  Kept only
+            because the benchmark reports it. *)
     batches : int;  (** [submit_map] batches run on the pool *)
   }
 

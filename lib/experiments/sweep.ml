@@ -11,10 +11,10 @@ let seeded_runs ~replications scenarios =
         (seed_of_replication (i mod replications)))
 
 (* Every (scenario, seed) pair of a whole sweep fans out as one flat
-   array over the persistent domain pool, whose coarse chunks span
-   several replications each.  [Parallel.map_array] merges results by
-   index, so the per-scenario measurement lists are bit-identical at
-   any [jobs], with the replication cache on or off. *)
+   array over the persistent domain pool.  [Parallel.map_array] keeps
+   each result at its input's index, so the per-scenario measurement
+   lists are bit-identical at any [jobs], with the replication cache
+   on or off. *)
 let measurements_all ?(replications = default_replications) ?(jobs = 1)
     scenarios =
   if replications <= 0 then List.map (fun _ -> []) scenarios

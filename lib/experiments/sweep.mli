@@ -39,8 +39,8 @@ val measurements_all :
 (** Per-seed measurements for several scenarios, fanned out as one
     flat (scenario, seed) array over the persistent domain pool
     ({!Sim_engine.Parallel.Pool}).  Sweep drivers prefer this over
-    per-point [measurements]: one warm pool serves the whole matrix
-    and each steal spans several replications.  Result [i] equals
+    per-point [measurements]: one pool batch serves the whole matrix,
+    so no domain idles at the end of each point.  Result [i] equals
     [measurements scenario_i] exactly, at any [jobs].  Every run goes
     through {!Run.measure_cached}, so the replication cache's mode
     applies. *)

@@ -1,5 +1,5 @@
 (* The supervised campaign runner: deadlines, retry, quarantine and
-   checkpoint/resume over the work-stealing pool.
+   checkpoint/resume over the domain pool.
 
    Execution is wave-based: the pending cells are chunked into waves
    of ~8*jobs, each wave fans out over [Parallel.map_array], and all

@@ -1,4 +1,4 @@
-(* Tests for the persistent work-stealing domain pool (Parallel) and
+(* Tests for the persistent domain pool (Parallel) and
    the parallel replication contract: same seeds => same measurements
    at any jobs.
 
@@ -132,8 +132,9 @@ let test_csv_byte_identical () =
 (* ------------------------------------------------------------------ *)
 
 (* These go through [Pool.get] + [Pool.submit_map] — the entry point
-   without the core-count cap — so the pool machinery (spawn, steal,
-   shard merge) is really exercised even on a one-core CI host, where
+   without the core-count cap — so the pool machinery (spawn, claim
+   loop, participation tokens) is really exercised even on a one-core
+   CI host, where
    [map_array] would legitimately run everything sequentially.
 
    Every test in this file requests at most 4 workers, so a
@@ -166,26 +167,70 @@ let test_pool_spawn_once () =
   Alcotest.(check bool) "chunks >= steals" true
     (after.Parallel.Pool.chunks >= after.Parallel.Pool.steals)
 
-let test_pool_exception_propagation () =
-  Printexc.record_backtrace true;
-  (* Two failing indices: the caller must see the smallest one, so
-     the surfaced error does not depend on steal interleaving. *)
-  let f x =
-    if x = 10 then failwith "first"
-    else if x = 50 then failwith "second"
-    else x
+exception Fail_at of int
+
+(* Random sets of failing indices at jobs 2, 3 and 4: the caller must
+   see the smallest one, raised from its own site, whatever the claim
+   interleaving was, and the pool must survive the failed batch. *)
+let prop_pool_exception_propagation =
+  QCheck2.Test.make ~name:"exception and backtrace" ~count:100
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(
+      let* n = int_range 1 200 in
+      let+ failing = list_size (int_range 1 5) (int_bound (n - 1)) in
+      (n, failing))
+    (fun (n, failing) ->
+      Printexc.record_backtrace true;
+      let f x = if List.mem x failing then raise (Fail_at x) else x in
+      let smallest = List.fold_left Stdlib.min max_int failing in
+      let xs = Array.init n Fun.id in
+      let pool = Parallel.Pool.get ~jobs:pool_jobs () in
+      let raised_at_site bt =
+        (* The first frame is [f]'s raise, not a re-raise in the
+           pool.  Builds without debug info carry no locations. *)
+        match Printexc.backtrace_slots bt with
+        | Some slots when Array.length slots > 0 -> (
+          match Printexc.Slot.location slots.(0) with
+          | Some loc ->
+            Filename.basename loc.Printexc.filename = "test_parallel.ml"
+          | None -> true)
+        | _ -> true
+      in
+      List.for_all
+        (fun jobs ->
+          (match Parallel.Pool.submit_map ~jobs pool f xs with
+          | _ -> false
+          | exception Fail_at i ->
+            i = smallest && raised_at_site (Printexc.get_raw_backtrace ()))
+          && Parallel.Pool.submit_map ~jobs pool succ xs = Array.map succ xs)
+        [ 2; 3; 4 ])
+
+let test_pool_helper_takes_work () =
+  (* The caller's first task blocks until a helper has run every other
+     index, so the batch completes only if helpers claim work while
+     the caller is busy.  The wait is bounded, so a pool whose helpers
+     never take work fails here instead of hanging. *)
+  let n = 32 in
+  let pool = Parallel.Pool.get ~jobs:2 () in
+  let by_helpers = Atomic.make 0 in
+  let timed_out = Atomic.make false in
+  let f _ =
+    if Domain.is_main_domain () then begin
+      let deadline = Sys.time () +. 10.0 in
+      while Atomic.get by_helpers < n - 1 && not (Atomic.get timed_out) do
+        if Sys.time () > deadline then Atomic.set timed_out true;
+        Domain.cpu_relax ()
+      done
+    end
+    else Atomic.incr by_helpers
   in
-  let pool = Parallel.Pool.get ~jobs:pool_jobs () in
-  (match Parallel.Pool.submit_map pool f (Array.init 64 Fun.id) with
-  | _ -> Alcotest.fail "expected Failure \"first\""
-  | exception Failure msg ->
-    Alcotest.(check string) "smallest failing index wins" "first" msg);
-  (* The pool must survive a failed batch: every task still ran, the
-     batch completed, and the next batch is clean. *)
-  let xs = Array.init 100 Fun.id in
-  Alcotest.(check (array int)) "pool usable after exception"
-    (Array.map succ xs)
-    (Parallel.Pool.submit_map pool succ xs)
+  let before = Parallel.Pool.stats () in
+  ignore (Parallel.Pool.submit_map ~jobs:2 pool f (Array.init n Fun.id));
+  let after = Parallel.Pool.stats () in
+  Alcotest.(check bool) "helper ran the others within 10 s" false
+    (Atomic.get timed_out);
+  Alcotest.(check bool) "steals >= n-1" true
+    (after.Parallel.Pool.steals - before.Parallel.Pool.steals >= n - 1)
 
 let test_pool_spawn_failure_resets () =
   (* A Domain.spawn failure mid-grow must leave the pool consistent:
@@ -251,8 +296,9 @@ let () =
         [
           Alcotest.test_case "spawn once per process" `Quick
             test_pool_spawn_once;
-          Alcotest.test_case "exception and backtrace" `Quick
-            test_pool_exception_propagation;
+          qc prop_pool_exception_propagation;
+          Alcotest.test_case "helper takes work while the caller waits"
+            `Quick test_pool_helper_takes_work;
           Alcotest.test_case "spawn failure resets cleanly" `Quick
             test_pool_spawn_failure_resets;
           Alcotest.test_case "shutdown and restart" `Quick
