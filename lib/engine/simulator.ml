@@ -11,7 +11,6 @@ type t = {
          iterates a flat array *)
   mutable executed_total : int;
   budget : int;  (* lifetime event budget; [max_int] = unlimited *)
-  mutable finalizers_rev : (unit -> unit) list;  (* newest first *)
 }
 
 type fault_report = {
@@ -81,7 +80,6 @@ let create ?(seed = 1) () =
     invariants = None;
     executed_total = 0;
     budget = Domain.DLS.get default_budget_key;
-    finalizers_rev = [];
   }
 
 let now t = t.clock
@@ -142,21 +140,8 @@ let step t =
     true
   end
 
-let add_finalizer t f = t.finalizers_rev <- f :: t.finalizers_rev
-
-let run_finalizers t =
-  (* Each finalizer is guarded so a failing one cannot mask the
-     original fault or stop the remaining finalizers. *)
-  List.iter
-    (fun f -> try f () with _ -> ())
-    (List.rev t.finalizers_rev)
-
-let run ?until ?max_events t =
+let run ?until t =
   t.stopping <- false;
-  let executed = ref 0 in
-  let within_budget () =
-    match max_events with None -> true | Some n -> !executed < n
-  in
   let within_horizon () =
     match until with
     | None -> true
@@ -165,17 +150,11 @@ let run ?until ?max_events t =
       next <> min_int && next <= Simtime.to_ns horizon
   in
   (try
-     while
-       (not t.stopping)
-       && within_budget ()
-       && within_horizon ()
-       && step t
-     do
-       incr executed
+     while (not t.stopping) && within_horizon () && step t do
+       ()
      done
    with exn ->
      let backtrace = Printexc.get_raw_backtrace () in
-     run_finalizers t;
      raise
        (Fault
           {
@@ -189,8 +168,8 @@ let run ?until ?max_events t =
   (* When stopped by the horizon — either because the next event lies
      beyond it or because the queue drained before reaching it —
      advance the clock to the horizon so callers can schedule relative
-     to the requested stop time.  [stop] and an exhausted [max_events]
-     with work still pending leave the clock at the last event. *)
+     to the requested stop time.  [stop] with work still pending leaves
+     the clock at the last event. *)
   match until with
   | Some horizon when Simtime.(t.clock < horizon) && not t.stopping ->
     if

@@ -64,10 +64,9 @@ type fault_report = {
 
 exception Fault of fault_report
 (** Raised by {!run} when an event handler raises any exception
-    (including {!Obs.Invariant.Violation} from a checked-mode sweep).
-    Registered finalizers have already run by the time this
-    propagates; the original exception and backtrace are carried in
-    the report. *)
+    (including {!Obs.Invariant.Violation} from a checked-mode sweep,
+    and {!Budget_exhausted}).  The original exception and backtrace
+    are carried in the report. *)
 
 (** {2 Event budgets (cooperative deadlines)} *)
 
@@ -93,28 +92,19 @@ val with_budget : int option -> (unit -> 'a) -> 'a
     concurrently.
     @raise Invalid_argument if [n < 1]. *)
 
-val add_finalizer : t -> (unit -> unit) -> unit
-(** Register a cleanup action run (in registration order) before
-    {!run} re-raises a handler exception as {!Fault}, e.g. to flush
-    output a crashing run would otherwise leave half-written.
-    Finalizers are individually guarded: one that raises is ignored
-    and the rest still run.  They do {e not} run on a normal
-    (non-faulting) return. *)
+val run : ?until:Simtime.t -> t -> unit
+(** Execute events in order until the queue drains or the clock
+    passes [until].  Events scheduled beyond [until] remain pending.
+    When the run ends at the horizon — whether the next event lies
+    beyond [until] or the queue drained first — the clock is advanced
+    to [until], so callers can schedule relative to the requested stop
+    time.  {!stop} leaves the clock at the last executed event.  The
+    only limit on the number of events is the simulator's budget (see
+    {!with_budget}).
 
-val run : ?until:Simtime.t -> ?max_events:int -> t -> unit
-(** Execute events in order until the queue drains, the clock passes
-    [until], or [max_events] events have fired.  Events scheduled
-    beyond [until] remain pending.  When the run ends at the horizon —
-    whether the next event lies beyond [until] or the queue drained
-    first — the clock is advanced to [until], so callers can schedule
-    relative to the requested stop time.  {!stop}, and an exhausted
-    [max_events] with work still pending, leave the clock at the last
-    executed event.
-
-    If an event handler raises, registered finalizers run and the
-    exception is re-raised wrapped as {!Fault}, carrying the original
-    exception, its backtrace, and queue statistics at the point of
-    failure. *)
+    If an event handler raises, or the budget runs out, the exception
+    is re-raised wrapped as {!Fault}, carrying the original exception,
+    its backtrace, and queue statistics at the point of failure. *)
 
 val stop : t -> unit
 (** Make the current {!run} return after the executing event

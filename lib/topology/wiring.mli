@@ -66,8 +66,8 @@ val run : ?obs:Obs.Config.t -> ?faults:Faults.Plan.t -> Scenario.t -> outcome
     application draws no randomness, so the empty plan is
     byte-identical to a plain run.  With a plan active, an exception
     escaping a component yields a {e partial} outcome with [fault]
-    set (finalizers flushed, statistics valid up to the failure)
-    instead of raising; without one, the original exception (e.g. an
+    set (statistics and any trace valid up to the failure) instead of
+    raising; without one, the original exception (e.g. an
     invariant violation) propagates unchanged. *)
 
 val throughput_bps : outcome -> float

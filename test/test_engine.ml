@@ -451,22 +451,14 @@ let test_sim_clock_reaches_drained_horizon () =
   Alcotest.(check int) "event at the horizon runs" 2 !fired
 
 let test_sim_stop_leaves_clock () =
-  (* stop, and an exhausted max_events, must NOT advance to the
-     horizon: work is still pending. *)
+  (* stop must NOT advance to the horizon: work is still pending. *)
   let sim = Simulator.create () in
   ignore (Simulator.schedule sim ~at:(Simtime.of_ns 10) (fun () ->
       Simulator.stop sim));
   ignore (Simulator.schedule sim ~at:(Simtime.of_ns 20) (fun () -> ()));
   Simulator.run ~until:(Simtime.of_ns 90) sim;
   Alcotest.(check int) "stop leaves the clock at the last event" 10
-    (Simtime.to_ns (Simulator.now sim));
-  let sim2 = Simulator.create () in
-  for i = 1 to 5 do
-    ignore (Simulator.schedule sim2 ~at:(Simtime.of_ns i) (fun () -> ()))
-  done;
-  Simulator.run ~until:(Simtime.of_ns 90) ~max_events:2 sim2;
-  Alcotest.(check int) "max_events leaves the clock at the last event" 2
-    (Simtime.to_ns (Simulator.now sim2))
+    (Simtime.to_ns (Simulator.now sim))
 
 let test_sim_stop () =
   let sim = Simulator.create () in
@@ -482,13 +474,26 @@ let test_sim_stop () =
   Alcotest.(check int) "run can resume" 2 !fired
 
 let test_sim_max_events () =
-  let sim = Simulator.create () in
+  (* The event budget is the simulator's one event limit: [run] stops
+     before the event past it, leaving the clock and queue as the last
+     allowed event left them. *)
+  let sim = Simulator.with_budget (Some 3) (fun () -> Simulator.create ()) in
   let fired = ref 0 in
   for i = 1 to 10 do
     ignore (Simulator.schedule sim ~at:(Simtime.of_ns i) (fun () -> incr fired))
   done;
-  Simulator.run ~max_events:3 sim;
-  Alcotest.(check int) "bounded" 3 !fired
+  (match Simulator.run ~until:(Simtime.of_ns 90) sim with
+  | () -> Alcotest.fail "expected the budget to run out"
+  | exception
+      Simulator.Fault
+        { error = Simulator.Budget_exhausted { budget = 3; executed = 3 }; _ }
+    ->
+    ());
+  Alcotest.(check int) "bounded" 3 !fired;
+  Alcotest.(check int) "clock at the last event" 3
+    (Simtime.to_ns (Simulator.now sim));
+  Alcotest.(check int) "the rest still pending" 7
+    (Simulator.pending_events sim)
 
 let test_sim_step () =
   let sim = Simulator.create () in

@@ -1,7 +1,6 @@
 (* Tests for the fault-injection subsystem: plan generation, the
    empty-plan byte-identity guarantee, graceful degradation through
-   Wiring.run, the simulator's fault-report/finalizer machinery and
-   the chaos campaign driver. *)
+   Wiring.run, the simulator's fault report and chaos campaigns. *)
 
 open Core
 
@@ -182,15 +181,13 @@ let test_queue_squeeze_recovers () =
     (List.mem Fault.Queue_overflow (kinds outcome))
 
 (* ------------------------------------------------------------------ *)
-(* Simulator fault reports and finalizers                              *)
+(* Simulator fault reports                                            *)
 (* ------------------------------------------------------------------ *)
 
 exception Boom
 
 let test_simulator_fault_report () =
   let sim = Simulator.create () in
-  let flushed = ref false in
-  Simulator.add_finalizer sim (fun () -> flushed := true);
   ignore (Simulator.schedule_after sim ~delay:(sec 1.0) (fun () -> ()));
   ignore (Simulator.schedule_after sim ~delay:(sec 2.0) (fun () -> raise Boom));
   ignore (Simulator.schedule_after sim ~delay:(sec 3.0) (fun () -> ()));
@@ -205,37 +202,7 @@ let test_simulator_fault_report () =
       report.Simulator.pending_events;
     Alcotest.(check bool) "rendering names the fault" true
       (let s = Printexc.to_string (Simulator.Fault report) in
-       String.length s > 0 && s.[0] = 'S'));
-  Alcotest.(check bool) "finalizers ran before the raise" true !flushed
-
-let test_simulator_finalizers_skip_clean_runs () =
-  (* The contract: finalizers are crash-path cleanup only.  A clean
-     return must not fire them — [run] may be invoked repeatedly
-     ([~until] stepping) and a flush-per-return would double-write. *)
-  let sim = Simulator.create () in
-  let fired = ref false in
-  Simulator.add_finalizer sim (fun () -> fired := true);
-  ignore (Simulator.schedule_after sim ~delay:(sec 1.0) (fun () -> ()));
-  Simulator.run sim;
-  Alcotest.(check bool) "not fired on a clean run" false !fired
-
-let test_simulator_finalizer_failure_contained () =
-  let sim = Simulator.create () in
-  let order = ref [] in
-  Simulator.add_finalizer sim (fun () -> order := 1 :: !order);
-  Simulator.add_finalizer sim (fun () ->
-      order := 2 :: !order;
-      raise Boom);
-  Simulator.add_finalizer sim (fun () -> order := 3 :: !order);
-  ignore (Simulator.schedule_after sim ~delay:(sec 1.0) (fun () -> raise Boom));
-  (match Simulator.run sim with
-  | () -> Alcotest.fail "expected Simulator.Fault"
-  | exception Simulator.Fault report ->
-    Alcotest.(check bool) "original fault survives finalizer failure" true
-      (report.Simulator.error = Boom));
-  Alcotest.(check (list int))
-    "registration order; a raising finalizer doesn't stop the rest"
-    [ 1; 2; 3 ] (List.rev !order)
+       String.length s > 0 && s.[0] = 'S'))
 
 (* ------------------------------------------------------------------ *)
 (* Campaign driver                                                     *)
@@ -299,10 +266,6 @@ let () =
       ( "simulator",
         [
           Alcotest.test_case "fault report" `Quick test_simulator_fault_report;
-          Alcotest.test_case "finalizers skip clean runs" `Quick
-            test_simulator_finalizers_skip_clean_runs;
-          Alcotest.test_case "finalizer failure contained" `Quick
-            test_simulator_finalizer_failure_contained;
         ] );
       ( "campaign",
         [
