@@ -1,20 +1,7 @@
-type t = {
-  live : bool;
-  sink : Sink.t;
-  buf : Buffer.t;  (* the sink's own buffer, or a one-line scratch *)
-  direct : bool;  (* [buf] belongs to the sink: lines land in place *)
-}
+type t = { live : bool; buf : Buffer.t }
 
-let disabled =
-  { live = false; sink = Sink.null; buf = Buffer.create 1; direct = true }
-
-let create ~sink () =
-  let buf, direct =
-    match Sink.buffer_of sink with
-    | Some b -> (b, true)
-    | None -> (Buffer.create 256, false)
-  in
-  { live = true; sink; buf; direct }
+let disabled = { live = false; buf = Buffer.create 1 }
+let create () = { live = true; buf = Buffer.create 4096 }
 
 let[@inline] enabled t = t.live
 
@@ -71,13 +58,7 @@ let start e ~arity ~t_ns =
   Jsonl.add_int e.trace.buf t_ns;
   Buffer.add_string e.trace.buf e.k1
 
-let finish e =
-  let t = e.trace in
-  Buffer.add_string t.buf e.tail;
-  if not t.direct then begin
-    Sink.write t.sink (Buffer.contents t.buf);
-    Buffer.clear t.buf
-  end
+let finish e = Buffer.add_string e.trace.buf e.tail
 
 let emit1 e ~t_ns a =
   if e.trace.live then begin
@@ -106,4 +87,4 @@ let emit3 e ~t_ns a b c =
     finish e
   end
 
-let contents t = Sink.contents t.sink
+let contents t = if t.live then Some (Buffer.contents t.buf) else None

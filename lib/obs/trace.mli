@@ -4,13 +4,14 @@
     nanoseconds, the emitting component and an event tag, plus
     event-specific fields.
 
-    A component renders each of its events once, as an {!event}
-    template, when it is handed a live trace; every emission then
-    appends the time, the integer fields and the pre-rendered chunks
-    straight to the trace's buffer, with no field list, no boxing and
-    no escaping per line.  Keep the templates out of reach when
-    tracing is off (an [option] field, say), so the disabled path is
-    one branch and allocates nothing:
+    A live trace accumulates its lines in a buffer of its own, read
+    back with {!contents}.  A component renders each of its events
+    once, as an {!event} template, when it is handed a live trace;
+    every emission then appends the time, the integer fields and the
+    pre-rendered chunks straight to that buffer, with no field list,
+    no boxing and no escaping per line.  Keep the templates out of
+    reach when tracing is off (an [option] field, say), so the
+    disabled path is one branch and allocates nothing:
 
     {[
       (* in set_obs, only when [Obs.Trace.enabled tr] *)
@@ -33,9 +34,8 @@ type t
 val disabled : t
 (** The shared no-op trace. *)
 
-val create : sink:Sink.t -> unit -> t
-(** A live trace writing to [sink].  A {!Sink.buffer} sink is appended
-    to in place; other sinks receive one string per line. *)
+val create : unit -> t
+(** A live trace with an empty buffer of its own. *)
 
 val enabled : t -> bool
 
@@ -63,4 +63,5 @@ val emit3 : event -> t_ns:int -> int -> int -> int -> unit
     the emitter's arity. *)
 
 val contents : t -> string option
-(** The bytes accumulated so far, when the sink is a buffer. *)
+(** The bytes accumulated so far by a live trace; [None] for
+    {!disabled}. *)

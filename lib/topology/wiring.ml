@@ -63,9 +63,7 @@ let run ?obs ?faults (scenario : Scenario.t) =
     if obs_cfg.Obs.Config.trace then Some (Metrics.Trace.create ()) else None
   in
   let obs_trace =
-    if obs_cfg.Obs.Config.trace then
-      Obs.Trace.create ~sink:(Obs.Sink.buffer ()) ()
-    else Obs.Trace.disabled
+    if obs_cfg.Obs.Config.trace then Obs.Trace.create () else Obs.Trace.disabled
   in
   let registry =
     if obs_cfg.Obs.Config.metrics then Obs.Registry.create ()

@@ -1,4 +1,4 @@
-(* Tests for the observability layer: Jsonl, Sink, Registry, Trace,
+(* Tests for the observability layer: Jsonl, Registry, Trace,
    Invariant, checked-mode simulation, and the determinism of the
    trace/metrics output across domain counts. *)
 
@@ -89,26 +89,6 @@ let prop_jsonl_numbers =
       in
       Obs.Jsonl.line [ ("n", Obs.Jsonl.Int n); ("v", Obs.Jsonl.Float v) ]
       = Printf.sprintf "{\"n\":%s,\"v\":%s}\n" (string_of_int n) float_ref)
-
-(* ------------------------------------------------------------------ *)
-(* Sink                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_sink_buffer () =
-  let sink = Obs.Sink.buffer () in
-  Obs.Sink.write sink "one\n";
-  Obs.Sink.write sink "two\n";
-  Alcotest.(check (option string)) "accumulates" (Some "one\ntwo\n")
-    (Obs.Sink.contents sink);
-  Alcotest.(check (option string)) "null has no contents" None
-    (Obs.Sink.contents Obs.Sink.null)
-
-let test_sink_custom () =
-  let got = ref [] in
-  let sink = Obs.Sink.custom (fun line -> got := line :: !got) in
-  Obs.Sink.write sink "a";
-  Obs.Sink.write sink "b";
-  Alcotest.(check (list string)) "called per line" [ "a"; "b" ] (List.rev !got)
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -318,7 +298,7 @@ let prop_registry_equals_reference =
 (* ------------------------------------------------------------------ *)
 
 let test_trace_emit () =
-  let tr = Obs.Trace.create ~sink:(Obs.Sink.buffer ()) () in
+  let tr = Obs.Trace.create () in
   let send =
     Obs.Trace.event tr ~comp:"tcp" ~ev:"send"
       [
@@ -342,20 +322,7 @@ let test_trace_emit () =
   let off = Obs.Trace.event Obs.Trace.disabled ~comp:"x" ~ev:"y" [ Arg "n" ] in
   Obs.Trace.emit1 off ~t_ns:0 1;
   Alcotest.(check (option string)) "disabled trace keeps nothing" None
-    (Obs.Trace.contents Obs.Trace.disabled);
-  (* Non-buffer sinks still receive exactly one string per line. *)
-  let lines = ref [] in
-  let sink = Obs.Sink.custom (fun l -> lines := l :: !lines) in
-  let tr = Obs.Trace.create ~sink () in
-  let ev = Obs.Trace.event tr ~comp:"c" ~ev:"e" [ Arg "a"; Arg "b"; Arg "c" ] in
-  Obs.Trace.emit3 ev ~t_ns:1 2 3 4;
-  Obs.Trace.emit3 ev ~t_ns:5 6 7 8;
-  Alcotest.(check (list string)) "one call per line"
-    [
-      "{\"t\":1,\"comp\":\"c\",\"ev\":\"e\",\"a\":2,\"b\":3,\"c\":4}\n";
-      "{\"t\":5,\"comp\":\"c\",\"ev\":\"e\",\"a\":6,\"b\":7,\"c\":8}\n";
-    ]
-    (List.rev !lines)
+    (Obs.Trace.contents Obs.Trace.disabled)
 
 (* Templates must render exactly what [Jsonl.line] renders for the same
    fields, whatever the strings and however extreme the integers. *)
@@ -402,7 +369,7 @@ let prop_template_equals_jsonl =
             | `Fixed _ -> true)
           fields
       in
-      let tr = Obs.Trace.create ~sink:(Obs.Sink.buffer ()) () in
+      let tr = Obs.Trace.create () in
       let e =
         Obs.Trace.event tr ~comp ~ev
           (List.map
@@ -776,11 +743,6 @@ let () =
           qc prop_jsonl_numbers;
           Alcotest.test_case "digits allocate nothing" `Quick
             test_jsonl_digits_allocate_nothing;
-        ] );
-      ( "sink",
-        [
-          Alcotest.test_case "buffer" `Quick test_sink_buffer;
-          Alcotest.test_case "custom" `Quick test_sink_custom;
         ] );
       ( "registry",
         [
