@@ -21,19 +21,6 @@ let () =
   and base = Address.make 2
   and mobile = Address.make 3 in
 
-  (* Route computation over the declared topology. *)
-  let graph = Topology_graph.create () in
-  List.iter (Topology_graph.add_node graph) [ server; router; base; mobile ];
-  List.iter
-    (fun (a, b) -> Topology_graph.add_edge graph a b)
-    [ (server, router); (router, base); (base, mobile) ];
-  (match Topology_graph.path graph ~src:server ~dst:mobile with
-  | Some p ->
-    Printf.printf "route: %s\n"
-      (String.concat " -> "
-         (List.map (fun a -> string_of_int (Address.to_int a)) p))
-  | None -> failwith "no route");
-
   (* Nodes. *)
   let n_server = Node.create sim ~name:"server" ~addr:server in
   let n_router = Node.create sim ~name:"router" ~addr:router in

@@ -41,7 +41,6 @@ module Ring = Netsim.Ring
 module Queue_drop_tail = Netsim.Queue_drop_tail
 module Link = Netsim.Link
 module Node = Netsim.Node
-module Topology_graph = Netsim.Topology_graph
 module Cross_traffic = Netsim.Cross_traffic
 
 (** {1 Wireless error models} *)

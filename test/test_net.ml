@@ -1,5 +1,5 @@
 (* Tests for the network substrate: Units, Address, Ids, Packet,
-   Queue_drop_tail, Link, Node, Topology_graph. *)
+   Queue_drop_tail, Link, Node and static routing over them. *)
 
 open Core
 
@@ -285,70 +285,49 @@ let test_node_no_route () =
      with Failure _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Topology_graph                                                      *)
+(* Static routing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let chain n =
-  let g = Topology_graph.create () in
-  for i = 0 to n - 1 do
-    Topology_graph.add_node g (addr i)
-  done;
-  for i = 0 to n - 2 do
-    Topology_graph.add_edge g (addr i) (addr (i + 1))
-  done;
-  g
-
-let test_graph_basics () =
-  let g = chain 3 in
-  Alcotest.(check int) "nodes" 3 (List.length (Topology_graph.nodes g));
-  Alcotest.(check (list int)) "neighbours of middle" [ 0; 2 ]
-    (List.map Address.to_int (Topology_graph.neighbours g (addr 1)));
-  Alcotest.check_raises "self loop"
-    (Invalid_argument "Topology_graph.add_edge: self loop") (fun () ->
-      Topology_graph.add_edge g (addr 0) (addr 0))
-
-let test_graph_next_hops_chain () =
-  let g = chain 4 in
-  let hops = Topology_graph.next_hops g ~src:(addr 0) in
-  let hop_to d =
-    List.assoc_opt d
-      (List.map (fun (a, b) -> (Address.to_int a, Address.to_int b)) hops)
+let test_static_routing_chain () =
+  (* Next hops wired by hand over links, as a topology outside the
+     presets does it: 0 -- 1 -- 2 -- 3, one route per direction. *)
+  let sim = Simulator.create () in
+  let nodes =
+    Array.init 4 (fun i ->
+        Node.create sim ~name:(string_of_int i) ~addr:(addr i))
   in
-  Alcotest.(check (option int)) "to 1" (Some 1) (hop_to 1);
-  Alcotest.(check (option int)) "to 3 via 1" (Some 1) (hop_to 3);
-  Alcotest.(check (option int)) "self omitted" None (hop_to 0)
-
-let test_graph_path () =
-  let g = chain 4 in
-  (match Topology_graph.path g ~src:(addr 0) ~dst:(addr 3) with
-  | Some p ->
-    Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ]
-      (List.map Address.to_int p)
-  | None -> Alcotest.fail "expected path");
-  match Topology_graph.path g ~src:(addr 0) ~dst:(addr 0) with
-  | Some [ a ] -> Alcotest.(check int) "self path" 0 (Address.to_int a)
-  | _ -> Alcotest.fail "expected singleton path"
-
-let test_graph_disconnected () =
-  let g = Topology_graph.create () in
-  Topology_graph.add_node g (addr 0);
-  Topology_graph.add_node g (addr 1);
-  Alcotest.(check (option (list int))) "no path" None
-    (Option.map (List.map Address.to_int)
-       (Topology_graph.path g ~src:(addr 0) ~dst:(addr 1)));
-  Alcotest.(check int) "no hops" 0
-    (List.length (Topology_graph.next_hops g ~src:(addr 0)))
-
-let test_graph_shortest_of_two () =
-  (* Square with a diagonal: 0-1, 1-2, 0-3, 3-2, 0-2. *)
-  let g = Topology_graph.create () in
-  List.iter (fun i -> Topology_graph.add_node g (addr i)) [ 0; 1; 2; 3 ];
-  List.iter
-    (fun (a, b) -> Topology_graph.add_edge g (addr a) (addr b))
-    [ (0, 1); (1, 2); (0, 3); (3, 2); (0, 2) ];
-  match Topology_graph.path g ~src:(addr 0) ~dst:(addr 2) with
-  | Some p -> Alcotest.(check int) "direct edge wins" 2 (List.length p)
-  | None -> Alcotest.fail "expected path"
+  let hop a b =
+    let l =
+      Link.create sim
+        ~name:(Printf.sprintf "%d->%d" a b)
+        ~bandwidth:(Units.kbps 56.0) ~delay:(Simtime.span_ms 5)
+        ~queue_capacity:4
+    in
+    Link.set_receiver l (Node.receive nodes.(b));
+    Link.send l
+  in
+  for i = 0 to 2 do
+    Node.add_route nodes.(i) ~dst:(addr 3) ~via:(hop i (i + 1));
+    Node.add_route nodes.(i + 1) ~dst:(addr 0) ~via:(hop (i + 1) i)
+  done;
+  let arrivals = ref [] in
+  let record at pkt =
+    let t = Simtime.to_ns (Simulator.now sim) in
+    arrivals := (at, pkt.Packet.id, t) :: !arrivals
+  in
+  Node.set_local_handler nodes.(3) (fun pkt ->
+      record 3 pkt;
+      Node.send nodes.(3) (mk_ack ~id:2 ~src:3 ~dst:0 ()));
+  Node.set_local_handler nodes.(0) (record 0);
+  Node.send nodes.(0) (mk_data ~id:1 ~src:0 ~dst:3 ());
+  Simulator.run sim;
+  (match List.rev !arrivals with
+  | [ (3, 1, t); (0, 2, _) ] ->
+    (* Three hops of 82.3 ms serialisation + 5 ms propagation. *)
+    Alcotest.(check int) "data arrival time" 261_857_142 t
+  | _ -> Alcotest.fail "expected the data at 3, then the ack at 0");
+  Alcotest.(check (list int)) "each transit node forwards both" [ 2; 2 ]
+    [ Node.forwarded nodes.(1); Node.forwarded nodes.(2) ]
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -397,13 +376,7 @@ let () =
             test_node_forward_hook_consumes;
           Alcotest.test_case "no route" `Quick test_node_no_route;
         ] );
-      ( "topology_graph",
-        [
-          Alcotest.test_case "basics" `Quick test_graph_basics;
-          Alcotest.test_case "next hops" `Quick test_graph_next_hops_chain;
-          Alcotest.test_case "path" `Quick test_graph_path;
-          Alcotest.test_case "disconnected" `Quick test_graph_disconnected;
-          Alcotest.test_case "shortest of two" `Quick
-            test_graph_shortest_of_two;
-        ] );
+      ( "static routing",
+        [ Alcotest.test_case "chain of links" `Quick test_static_routing_chain ]
+      );
     ]
