@@ -83,3 +83,113 @@ let line fields =
     fields;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
+
+(* A recursive descent over exactly what [line] writes: no whitespace,
+   the escapes of [escape] and no others, and JSON's number grammar. *)
+let parse s =
+  let exception Malformed in
+  let n = String.length s in
+  let n = if n > 0 && s.[n - 1] = '\n' then n - 1 else n in
+  let pos = ref 0 in
+  let at p = !pos < n && p s.[!pos] in
+  let next () =
+    if !pos >= n then raise Malformed;
+    incr pos;
+    s.[!pos - 1]
+  in
+  let expect c = if next () <> c then raise Malformed in
+  let is_digit c = c >= '0' && c <= '9' in
+  let digits () =
+    if not (at is_digit) then raise Malformed;
+    while at is_digit do
+      incr pos
+    done
+  in
+  let hex () =
+    match next () with
+    | '0' .. '9' as c -> Char.code c - 48
+    | 'a' .. 'f' as c -> Char.code c - 87
+    | _ -> raise Malformed
+  in
+  let unescape = function
+    | ('"' | '\\') as c -> c
+    | 'n' -> '\n'
+    | 'r' -> '\r'
+    | 't' -> '\t'
+    | 'u' -> (
+      expect '0';
+      expect '0';
+      let hi = hex () in
+      match Char.chr ((hi * 16) + hex ()) with
+      | '\n' | '\r' | '\t' -> raise Malformed
+      | c when c < ' ' -> c
+      | _ -> raise Malformed)
+    | _ -> raise Malformed
+  in
+  let string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      match next () with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+        Buffer.add_char b (unescape (next ()));
+        go ()
+      | c when c < ' ' -> raise Malformed
+      | c ->
+        Buffer.add_char b c;
+        go ()
+    in
+    go ()
+  in
+  let number () =
+    let start = !pos in
+    if at (Char.equal '-') then incr pos;
+    if at (Char.equal '0') then incr pos else digits ();
+    let frac = at (Char.equal '.') in
+    if frac then begin
+      incr pos;
+      digits ()
+    end;
+    let exp = at (fun c -> c = 'e' || c = 'E') in
+    if exp then begin
+      incr pos;
+      if at (fun c -> c = '+' || c = '-') then incr pos;
+      digits ()
+    end;
+    let literal = String.sub s start (!pos - start) in
+    if not (frac || exp) then Int (int_of_string literal)
+    else
+      let v = float_of_string literal in
+      if Float.is_finite v then Float v else raise Malformed
+  in
+  let word w v =
+    String.iter expect w;
+    v
+  in
+  let value () =
+    if at (Char.equal '"') then Str (string ())
+    else if at (Char.equal 't') then word "true" (Bool true)
+    else if at (Char.equal 'f') then word "false" (Bool false)
+    else number ()
+  in
+  let rec fields acc =
+    let k = string () in
+    expect ':';
+    let acc = (k, value ()) :: acc in
+    match next () with
+    | ',' -> fields acc
+    | '}' -> List.rev acc
+    | _ -> raise Malformed
+  in
+  match
+    expect '{';
+    if at (Char.equal '}') then begin
+      incr pos;
+      []
+    end
+    else fields []
+  with
+  | fields when !pos = n -> Some fields
+  | _ -> None
+  | exception (Malformed | Failure _) -> None

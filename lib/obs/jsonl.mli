@@ -2,8 +2,9 @@
 
     Not a general JSON library: just enough to render one flat object
     per line, with fields in the order given, so that equal field
-    lists produce byte-identical output.  Non-finite floats are not
-    representable in JSON and must not be passed. *)
+    lists produce byte-identical output, and to read such a line
+    back.  Non-finite floats are not representable in JSON and must
+    not be passed. *)
 
 type value =
   | Int of int
@@ -22,6 +23,16 @@ val add_key : Buffer.t -> string -> unit
 
 val add_value : Buffer.t -> value -> unit
 (** Append one value exactly as {!line} renders it. *)
+
+val parse : string -> (string * value) list option
+(** The fields of one line that {!line} renders, in order, with or
+    without its final newline: [parse (line fields) = Some fields]
+    when no float in [fields] is whole.  An integer literal reads as
+    [Int] and any other number as [Float]; a string undoes exactly
+    the escapes that {!escape} writes.  Anything else, from a
+    truncated line to trailing bytes, whitespace or an escape {!escape}
+    never writes, is [None].  For reading a trace back, never on a
+    run's hot path. *)
 
 val escape : Buffer.t -> string -> unit
 (** Append a string's characters JSON-escaped, without the quotes. *)

@@ -1,6 +1,6 @@
-(* Tests for the observability layer: Jsonl, Registry, Trace,
-   Invariant, checked-mode simulation, and the determinism of the
-   trace/metrics output across domain counts. *)
+(* Tests for the observability layer: Jsonl (rendering and reading
+   back), Registry, Trace, Invariant, checked-mode simulation, and the
+   determinism of the trace/metrics output across domain counts. *)
 
 open Core
 
@@ -89,6 +89,67 @@ let prop_jsonl_numbers =
       in
       Obs.Jsonl.line [ ("n", Obs.Jsonl.Int n); ("v", Obs.Jsonl.Float v) ]
       = Printf.sprintf "{\"n\":%s,\"v\":%s}\n" (string_of_int n) float_ref)
+
+(* [parse] inverts [line].  Whole floats are left out: they render as
+   integer literals, which read back as [Int]. *)
+let prop_jsonl_parse_inverts_line =
+  let open QCheck2.Gen in
+  let str =
+    string_size
+      ~gen:
+        (oneofl
+           [ 'a'; 'Z'; '0'; '"'; '\\'; '\n'; '\t'; '\r'; '\001'; ' '; ':'; ','; '{'; '\xc3' ])
+      (int_range 0 8)
+  in
+  let value =
+    oneof
+      [
+        map (fun n -> Obs.Jsonl.Int n) gen_edge_int;
+        map (fun s -> Obs.Jsonl.Str s) str;
+        map (fun b -> Obs.Jsonl.Bool b) bool;
+        map
+          (fun v -> Obs.Jsonl.Float (if Float.is_integer v then 0.5 else v))
+          (oneof
+             [
+               oneofl [ 0.1; -2.5; 5e-324; 1e-7; 123456.789 ];
+               gen_finite_float ~max_exp:52;
+             ]);
+      ]
+  in
+  QCheck2.Test.make ~name:"parse (line fields) = Some fields" ~count:1000
+    (list_size (int_range 0 6) (pair str value))
+    (fun fields -> Obs.Jsonl.parse (Obs.Jsonl.line fields) = Some fields)
+
+let test_jsonl_parse_rejects () =
+  List.iter
+    (fun (what, line) ->
+      Alcotest.(check bool) what true (Obs.Jsonl.parse line = None))
+    [
+      ("truncated line", "{\"t\":12,\"comp\":\"tc");
+      ("truncated after a comma", "{\"t\":12,");
+      ("missing opening brace", "\"t\":12}");
+      ("missing closing brace", "{\"t\":12");
+      ("trailing bytes", "{\"t\":12}x");
+      ("two newlines", "{\"t\":12}\n\n");
+      ("unknown escape", "{\"k\":\"a\\qb\"}");
+      ("escape never written", "{\"k\":\"\\u0041\"}");
+      ("upper-case hex", "{\"k\":\"\\u001F\"}");
+      ("raw control character", "{\"k\":\"a\tb\"}");
+      ("whitespace", "{\"t\": 12}");
+      ("leading zero", "{\"t\":012}");
+      ("bare word", "{\"t\":null}");
+      ("integer overflow", "{\"t\":4611686018427387904}");
+      ("empty line", "");
+    ];
+  Alcotest.(check bool) "empty object" true (Obs.Jsonl.parse "{}" = Some []);
+  Alcotest.(check bool) "numbers" true
+    (Obs.Jsonl.parse "{\"a\":-0,\"b\":1.5e-07,\"c\":1e+20}\n"
+    = Some
+        [
+          ("a", Obs.Jsonl.Int 0);
+          ("b", Obs.Jsonl.Float 1.5e-07);
+          ("c", Obs.Jsonl.Float 1e20);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -604,16 +665,18 @@ let metric_names ~prefix metrics =
       | _ -> None)
     (String.split_on_char '\n' metrics)
 
-let golden_runs () =
-  List.map
-    (fun (name, scenario) -> (name, Wiring.run ~obs:Obs.Config.all scenario))
-    checked_scenarios
-  @ List.map
-      (fun spec ->
-        ( spec.Chaos.label,
-          Wiring.run ~obs:Obs.Config.all ~faults:spec.Chaos.plan
-            spec.Chaos.scenario ))
-      chaos_specs
+(* Run once, shared by the golden tests that read their output. *)
+let golden_runs =
+  lazy
+    (List.map
+       (fun (name, scenario) -> (name, Wiring.run ~obs:Obs.Config.all scenario))
+       checked_scenarios
+    @ List.map
+        (fun spec ->
+          ( spec.Chaos.label,
+            Wiring.run ~obs:Obs.Config.all ~faults:spec.Chaos.plan
+              spec.Chaos.scenario ))
+        chaos_specs)
 
 let test_golden_bytes () =
   List.iter2
@@ -636,7 +699,23 @@ let test_golden_bytes () =
           "engine.queue.recycled";
         ]
         (metric_names ~prefix:"engine.queue." metrics))
-    (golden_runs ()) golden
+    (Lazy.force golden_runs) golden
+
+(* Every golden trace line reads back, and renders to its own bytes. *)
+let test_golden_lines_parse () =
+  List.iter
+    (fun (name, outcome) ->
+      let trace = Option.get outcome.Wiring.obs_trace in
+      let lines = String.split_on_char '\n' trace in
+      List.iteri
+        (fun i line ->
+          if line <> "" then
+            match Obs.Jsonl.parse line with
+            | Some fields when Obs.Jsonl.line fields = line ^ "\n" -> ()
+            | Some _ -> Alcotest.failf "%s line %d re-renders differently" name i
+            | None -> Alcotest.failf "%s line %d does not parse: %s" name i line)
+        lines)
+    (Lazy.force golden_runs)
 
 let test_chaos_trace_coverage () =
   (* The pinned chaos cells must keep reaching the rare emit sites, or
@@ -741,6 +820,8 @@ let () =
           Alcotest.test_case "float repr" `Quick test_jsonl_float_repr;
           Alcotest.test_case "escaping" `Quick test_jsonl_escaping;
           qc prop_jsonl_numbers;
+          qc prop_jsonl_parse_inverts_line;
+          Alcotest.test_case "parse rejects" `Quick test_jsonl_parse_rejects;
           Alcotest.test_case "digits allocate nothing" `Quick
             test_jsonl_digits_allocate_nothing;
         ] );
@@ -778,6 +859,8 @@ let () =
         [
           Alcotest.test_case "trace+metrics bytes pinned" `Slow
             test_golden_bytes;
+          Alcotest.test_case "trace lines parse back" `Slow
+            test_golden_lines_parse;
           Alcotest.test_case "chaos cells reach rare trace sites" `Slow
             test_chaos_trace_coverage;
           Alcotest.test_case "ns-trace bytes pinned" `Slow test_nstrace_golden;
