@@ -43,8 +43,8 @@ let positive_float_conv =
    sees, and a resumed campaign spec is held to the same ranges.  Out
    of range is a usage error (exit 124), like a bad flag; each term
    that takes such inputs ends in [Term.ret]. *)
-let in_range ~preset ~packet_size periods k =
-  match Core.Campaigns.check_inputs ~preset ~packet_size ~periods with
+let in_range ~preset ~packet_size ~channels periods k =
+  match Core.Campaigns.check_inputs ~preset ~packet_size ~periods ~channels with
   | Ok () -> `Ok (k ())
   | Error msg -> `Error (false, msg)
 
@@ -225,7 +225,8 @@ let build_scenario ?(cc = Core.Tcp_config.Tahoe) ?(verbose = false) preset
 let scenario_term =
   let assemble cc verbose preset scheme packet_size bad good file seed
       deterministic =
-    in_range ~preset ~packet_size [ ("--bad", bad); ("--good", good) ]
+    in_range ~preset ~packet_size ~channels:[ (bad, good) ]
+      [ ("--bad", bad); ("--good", good) ]
     @@ fun () ->
     build_scenario ~cc ~verbose preset scheme packet_size bad good file
       seed deterministic
@@ -506,7 +507,7 @@ let trace_cmd =
       & info [ "window" ] ~docv:"SEC" ~doc:"Plotted window in seconds.")
   in
   let action preset scheme packet_size bad good file seed window =
-    in_range ~preset ~packet_size
+    in_range ~preset ~packet_size ~channels:[ (bad, good) ]
       [ ("--bad", bad); ("--good", good); ("--window", Some window) ]
     @@ fun () ->
     let scenario =
@@ -545,6 +546,7 @@ let advisor_cmd =
   in
   let action () bads replications jobs supervise =
     in_range ~preset:Core.Campaigns.Wan ~packet_size:None
+      ~channels:(List.map (fun bad -> (Some bad, None)) bads)
       (List.map (fun bad -> ("--bad-periods", Some bad)) bads)
     @@ fun () ->
     run_campaign ~jobs ~json:None supervise
@@ -564,7 +566,8 @@ let advisor_cmd =
 
 let theory_cmd =
   let action preset bad good =
-    in_range ~preset ~packet_size:None [ ("--bad", bad); ("--good", good) ]
+    in_range ~preset ~packet_size:None ~channels:[ (bad, good) ]
+      [ ("--bad", bad); ("--good", good) ]
     @@ fun () ->
     let scenario =
       build_scenario preset Core.Scenario.Basic None bad good None 1 false
@@ -586,7 +589,8 @@ let theory_cmd =
 let compare_cmd =
   let action () cc preset packet_size bad good file seed replications jobs
       supervise =
-    in_range ~preset ~packet_size [ ("--bad", bad); ("--good", good) ]
+    in_range ~preset ~packet_size ~channels:[ (bad, good) ]
+      [ ("--bad", bad); ("--good", good) ]
     @@ fun () ->
     run_campaign ~jobs ~json:None supervise
       (Core.Campaigns.Compare

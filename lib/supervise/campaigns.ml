@@ -72,26 +72,50 @@ let span_in_range sec =
   let ns = Float.round (sec *. 1e9) in
   ns >= 1.0 && ns < max_span_ns
 
-let check_inputs ~preset ~packet_size ~periods =
-  let tcp = (scenario preset Topology.Scenario.Basic).Topology.Scenario.tcp in
+(* A channel's timeline keeps every period it draws, so a run whose
+   periods are tiny fills memory long before its file moves.  Two
+   periods per mean good+bad cycle over the preset's horizon may not
+   pass [max_periods]. *)
+let max_periods = 1 lsl 22
+
+let check_inputs ~preset ~packet_size ~periods ~channels =
+  let s = scenario preset Topology.Scenario.Basic in
+  let tcp = s.Topology.Scenario.tcp in
   let header = tcp.Tcp_tahoe.Tcp_config.header_bytes in
   let window = tcp.Tcp_tahoe.Tcp_config.window in
   let out_of_range (_, sec) =
     match sec with Some sec -> not (span_in_range sec) | None -> false
   in
-  match (packet_size, List.find_opt out_of_range periods) with
-  | Some size, _ when size <= header || size - header > window ->
+  let sec = Sim_engine.Simtime.span_to_sec in
+  let min_cycle = 2.0 *. sec s.Topology.Scenario.horizon /. float max_periods in
+  let cycle (bad, good) =
+    let w = s.Topology.Scenario.wireless in
+    Option.value bad ~default:(sec w.Topology.Scenario.mean_bad)
+    +. Option.value good ~default:(sec w.Topology.Scenario.mean_good)
+  in
+  match
+    ( packet_size,
+      List.find_opt out_of_range periods,
+      List.find_opt (fun c -> cycle c < min_cycle) channels )
+  with
+  | Some size, _, _ when size <= header || size - header > window ->
     Error
       (Printf.sprintf
          "packet size %d B is outside %d..%d B (the %s preset's %d-B \
           header plus its %d-B TCP window)"
          size (header + 1) (header + window) (preset_name preset) header
          window)
-  | _, Some (name, Some sec) ->
+  | _, Some (name, Some sec), _ ->
     Error
       (Printf.sprintf "%s %g s is outside the 1 ns..%g s the simulator holds"
          name sec
          ((max_span_ns -. 1.0) /. 1e9))
+  | _, _, Some c ->
+    Error
+      (Printf.sprintf
+         "mean good + bad period %g s is under the %g s that keeps a %s \
+          run within %d channel periods"
+         (cycle c) min_cycle (preset_name preset) max_periods)
   | _ -> Ok ()
 
 (* What the CLI's convs check one flag at a time, plus
@@ -107,11 +131,13 @@ let check_kind = function
   | Compare { preset; packet_size; bad; good; _ } ->
     check_inputs ~preset ~packet_size
       ~periods:[ ("bad period", bad); ("good period", good) ]
+      ~channels:[ (bad, good) ]
   | Advisor { replications; _ } when replications < 1 ->
     Error "replications must be positive"
   | Advisor { bads; _ } ->
     check_inputs ~preset:Wan ~packet_size:None
       ~periods:(List.map (fun b -> ("bad period", Some b)) bads)
+      ~channels:(List.map (fun b -> (Some b, None)) bads)
 
 (* ------------------------------------------------------------------ *)
 (* Spec codec                                                          *)

@@ -86,6 +86,7 @@ val check_inputs :
   preset:preset ->
   packet_size:int option ->
   periods:(string * float option) list ->
+  channels:(float option * float option) list ->
   (unit, string) result
 (** The engine's ranges for a scenario's inputs, which the CLI and
     {!kind_of_spec} share: the packet size must hold the 40-byte
@@ -93,8 +94,13 @@ val check_inputs :
     41..65576 B on [Lan]), and each named period (a mean bad or good
     period, or a plotted window, in seconds) must round to a span of
     at least 1 ns that {!Sim_engine.Simtime} can hold (below 2{^ 62}
-    ns, about 146 years).  [None] values are not checked.  The error
-    names the first value out of range. *)
+    ns, about 146 years).  Each of [channels], a (mean bad, mean good)
+    pair with [None] for the preset's default, may expect at most
+    2{^ 22} channel periods over the preset's horizon,
+    [2 * horizon / (good + bad)], because a run keeps every period it
+    draws: good + bad must be at least 1.72 ms on [Wan] (3600 s) and
+    0.57 ms on [Lan] (1200 s).  A [None] period is not checked.  The
+    error names the first value out of range. *)
 
 val spec_string : kind -> string
 (** The single-line campaign spec; [kind_of_spec (spec_string k) =

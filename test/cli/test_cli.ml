@@ -124,11 +124,14 @@ let () =
   (* Numeric flags follow it too: an out-of-range value is a parse
      error, never an engine Invalid_argument (uncaught, exit 125).
      That includes the ranges one conv cannot see alone: a packet size
-     the preset's TCP window cannot hold, and a period that rounds to
-     0 ns or overflows the simulator's clock. *)
+     the preset's TCP window cannot hold, a period that rounds to 0 ns
+     or overflows the simulator's clock, and good and bad periods so
+     short that a run would keep more than 2^22 of them.  Each runs
+     under an address-space cap, so a range that slips through fails
+     here instead of filling the machine's memory. *)
   List.iter
     (fun args ->
-      let code, _ = run_wtcp args in
+      let code, _ = run_wtcp ~prefix:"ulimit -v 400000; " args in
       check (Printf.sprintf "%s exits 124 (got %d)" args code) (code = 124))
     [
       "run --file 0"; "run --bad 0"; "run --bad nan"; "run --good 0";
@@ -140,6 +143,9 @@ let () =
       "run --good 1e-300"; "run --bad 1e300"; "compare --packet-size 100000";
       "advisor --bad-periods 1e-300"; "run --packet-size 4137";
       "run -p lan --packet-size 65577"; "theory --good 1e300";
+      "run --deterministic --good 1e-9 --bad 1e-9 --file 20000";
+      "run --good 1e-9 --bad 1e-9 --file 20000"; "theory --good 1e-9 --bad 1e-9";
+      "run --good 8.5e-4 --bad 8.5e-4"; "run -p lan --good 2.8e-4 --bad 2.8e-4";
     ];
   (* The limits themselves run.  The period limits are means, so they
      run at the default file size over several seeds: a 1-ns mean
@@ -154,6 +160,7 @@ let () =
        "trace --window 6e-10 --file 20000";
        "compare --bad 6e-10 --good 4.6e9 --replications 2";
        "advisor --bad-periods 6e-10,4.6e9 --replications 1";
+       "run --good 8.6e-4 --bad 8.6e-4"; "run -p lan --good 2.9e-4 --bad 2.9e-4";
      ]
     @ List.concat_map
         (fun seed ->
@@ -430,21 +437,30 @@ let () =
       (match Sys.readdir campaigns with
       | [| m |] when String.starts_with ~prefix:"compare" args ->
         List.iter
-          (fun (from, into) ->
+          (fun edits ->
             let forged =
               forge (Filename.concat campaigns m) "spec " (fun l ->
                   String.concat " "
                     (List.map
-                       (fun tok -> if tok = from then into else tok)
+                       (fun tok ->
+                         Option.value (List.assoc_opt tok edits) ~default:tok)
                        (String.split_on_char ' ' l)))
             in
-            let code, err = run_wtcp ("resume " ^ Filename.quote forged) in
+            let code, err =
+              run_wtcp ~prefix:"ulimit -v 400000; "
+                ("resume " ^ Filename.quote forged)
+            in
             Sys.remove forged;
             check
-              (Printf.sprintf "resume of a spec with %s exits 1 (got %d)" into
+              (Printf.sprintf "resume of a spec with %s exits 1 (got %d)"
+                 (String.concat " " (List.map snd edits))
                  code)
               (code = 1 && contains err "wtcp: cannot resume"))
-          [ ("size=-", "size=100000"); ("bad=-", "bad=-0x1p+0") ]
+          [
+            [ ("size=-", "size=100000") ];
+            [ ("bad=-", "bad=-0x1p+0") ];
+            [ ("bad=-", "bad=0x1p-30"); ("good=-", "good=0x1p-30") ];
+          ]
       | _ -> ()
       | exception Sys_error _ ->
         check (args ^ " --supervised left a manifest") false);
