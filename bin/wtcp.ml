@@ -134,13 +134,6 @@ let jobs_arg =
            recommended domain count minus one, at least 1).  The seed \
            schedule is unchanged, so results are identical at any $(docv).")
 
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "v"; "verbose" ]
-        ~doc:"Log simulator events (timeouts, EBSNs, source sends) to \
-              stderr while running.")
-
 let cache_dir_arg =
   Arg.(
     value
@@ -211,9 +204,8 @@ let deterministic_arg =
         ~doc:"Use constant good/bad period lengths (the paper's Figures \
               3-5 model) instead of the two-state Markov model.")
 
-let build_scenario ?(cc = Core.Tcp_config.Tahoe) ?(verbose = false) preset
-    scheme packet_size bad good file seed deterministic =
-  if verbose then Core.Slog.set_level (Some Logs.Debug);
+let build_scenario ?(cc = Core.Tcp_config.Tahoe) preset scheme packet_size bad
+    good file seed deterministic =
   let error_mode =
     if deterministic then Core.Scenario.Deterministic else Core.Scenario.Markov
   in
@@ -223,17 +215,16 @@ let build_scenario ?(cc = Core.Tcp_config.Tahoe) ?(verbose = false) preset
     cc
 
 let scenario_term =
-  let assemble cc verbose preset scheme packet_size bad good file seed
-      deterministic =
+  let assemble cc preset scheme packet_size bad good file seed deterministic =
     in_range ~preset ~packet_size ~channels:[ (bad, good) ]
       [ ("--bad", bad); ("--good", good) ]
     @@ fun () ->
-    build_scenario ~cc ~verbose preset scheme packet_size bad good file
-      seed deterministic
+    build_scenario ~cc preset scheme packet_size bad good file seed
+      deterministic
   in
   Term.(
     ret
-      (const assemble $ cc_arg $ verbose_arg $ preset_arg $ scheme_arg
+      (const assemble $ cc_arg $ preset_arg $ scheme_arg
      $ packet_size_arg $ bad_arg $ good_arg $ file_arg $ seed_arg
      $ deterministic_arg))
 
@@ -521,7 +512,9 @@ let trace_cmd =
     print_endline (Core.Scenario.describe scenario);
     print_endline
       (Core.Timeseq.render ~until
-         (Core.Trace.sends (Option.get outcome.Core.Wiring.trace)));
+         (Core.Tcp_sender.traced_sends
+            ~mss:scenario.Core.Scenario.tcp.Core.Tcp_config.mss
+            (Option.get outcome.Core.Wiring.obs_trace)));
     print_outcome scenario outcome
   in
   Cmd.v

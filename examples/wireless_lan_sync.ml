@@ -35,7 +35,7 @@ let () =
         ~error_mode:Core.Scenario.Deterministic ~file_bytes:(1 lsl 20) ~seed:3
         ()
     in
-    (* The source-side trace is recorded only when the run traces. *)
+    (* The source's sends are read back from the run's JSONL trace. *)
     let obs =
       { (Core.Obs.Config.default ()) with Core.Obs.Config.trace = true }
     in
@@ -43,7 +43,8 @@ let () =
     Core.Timeseq.render
       ~config:{ Core.Timeseq.default_config with Core.Timeseq.modulo = 720 }
       ~until:(Core.Simtime.of_ns 10_000_000_000)
-      (Core.Trace.sends (Option.get outcome.Core.Wiring.trace))
+      (Core.Tcp_sender.traced_sends ~mss:scenario.Core.Scenario.tcp.Core.Tcp_config.mss
+         (Option.get outcome.Core.Wiring.obs_trace))
   in
   print_endline "\nsource trace, basic TCP (fades at 4-5s and 9-10s; R = retransmission):";
   print_endline (trace Core.Scenario.Basic);

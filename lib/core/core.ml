@@ -28,7 +28,6 @@ module Rng = Sim_engine.Rng
 module Event_queue = Sim_engine.Event_queue
 module Simulator = Sim_engine.Simulator
 module Soft_timer = Sim_engine.Soft_timer
-module Slog = Sim_engine.Slog
 module Parallel = Sim_engine.Parallel
 
 (** {1 Network substrate} *)
@@ -104,7 +103,6 @@ module Cache_store = Repcache.Store
 (** {1 Metrics} *)
 
 module Summary = Metrics.Summary
-module Trace = Metrics.Trace
 module Timeseq = Metrics.Timeseq
 module Nstrace = Metrics.Nstrace
 

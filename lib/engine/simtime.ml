@@ -61,5 +61,4 @@ let ( > ) (a : t) (b : t) = Stdlib.( > ) a b
 let min (a : t) (b : t) = if a < b then a else b
 let max (a : t) (b : t) = if a < b then b else a
 
-let pp ppf t = Format.fprintf ppf "%.3fs" (to_sec t)
 let pp_span ppf d = Format.fprintf ppf "%.3fs" (span_to_sec d)

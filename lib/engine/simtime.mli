@@ -86,9 +86,5 @@ val ( > ) : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 
-val pp : Format.formatter -> t -> unit
-(** Prints an instant as seconds with millisecond precision,
-    e.g. ["12.345s"]. *)
-
 val pp_span : Format.formatter -> span -> unit
 (** Prints a duration as seconds, e.g. ["0.100s"]. *)

@@ -19,22 +19,21 @@ let compute scheme =
   let outcome = Wiring.run ~obs scenario in
   let until = Sim_engine.Simtime.of_ns (int_of_float (window_sec *. 1e9)) in
   let in_window time = Sim_engine.Simtime.(time <= until) in
-  let trace = Option.get outcome.Wiring.trace in
+  let trace = Option.get outcome.Wiring.obs_trace in
+  let sends =
+    Tcp_tahoe.Tcp_sender.traced_sends
+      ~mss:scenario.Scenario.tcp.Tcp_tahoe.Tcp_config.mss trace
+  in
   let timeouts_in_window =
     List.length
-      (List.filter
-         (fun (time, e) -> in_window time && e = Metrics.Trace.Timeout)
-         (Metrics.Trace.events trace))
+      (List.filter in_window (Tcp_tahoe.Tcp_sender.traced_timeouts trace))
   in
   let retransmissions_in_window =
-    List.length
-      (List.filter
-         (fun (time, _, retx) -> retx && in_window time)
-         (Metrics.Trace.sends trace))
+    List.length (List.filter (fun (time, _, retx) -> retx && in_window time) sends)
   in
   {
     scheme;
-    plot = Metrics.Timeseq.render ~until (Metrics.Trace.sends trace);
+    plot = Metrics.Timeseq.render ~until sends;
     timeouts_in_window;
     retransmissions_in_window;
     measurement = Run.outcome_measurement outcome;

@@ -4,7 +4,8 @@
     wide-area links, constant good period 10 s / bad period 4 s, so
     the identical loss pattern can be compared under basic TCP, local
     recovery and EBSN.  Rendered as ASCII time–sequence plots (packet
-    number mod 90 vs time, retransmissions marked [R]). *)
+    number mod 90 vs time, retransmissions marked [R]), read back from
+    each run's JSONL trace ({!Tcp_tahoe.Tcp_sender.traced_sends}). *)
 
 type trace_result = {
   scheme : Topology.Scenario.scheme;

@@ -1,10 +1,11 @@
 (** Per-run observability configuration.
 
     [check] runs the invariant checkers after every simulated event;
-    [trace] collects the structured JSONL event trace and the
-    source-side trace of figures 3-5 ([Wiring.outcome.trace]); [metrics]
-    collects the metrics registry.  All three default to off, which
-    costs the instrumented hot paths a single branch per hook.
+    [trace] collects the structured JSONL event trace
+    ([Wiring.outcome.obs_trace]), from which figures 3-5 read the
+    source's sends and timeouts back; [metrics] collects the metrics
+    registry.  All three default to off, which costs the instrumented
+    hot paths a single branch per hook.
 
     The process-wide default lets command-line front ends (wtcp,
     bench) switch every subsequent run into checked mode without

@@ -47,8 +47,6 @@ type t = {
   mutable timer_ticks : int;  (* duration the pending timer was armed with *)
   mutable is_complete : bool;
   mutable on_complete : (unit -> unit) option;
-  mutable on_send : (Packet.t -> unit) option;
-  mutable on_timeout_hook : (unit -> unit) option;
   mutable trace : trace_events option;  (* [None] unless tracing *)
   mutable rtt_hist : Obs.Registry.histogram;
   mutable cwnd_hist : Obs.Registry.histogram;
@@ -78,12 +76,33 @@ let set_obs t ~trace ~metrics =
   t.rtt_hist <- Obs.Registry.histogram metrics "tcp.rtt_ticks";
   t.cwnd_hist <- Obs.Registry.histogram metrics "tcp.cwnd_bytes"
 
+(* The [send] and [timeout] lines of a whole trace, read back for the
+   time-sequence plots of figures 3-5.  Fields are matched by name and
+   position, as the templates above write them. *)
+let traced ev trace =
+  List.filter_map
+    (fun line ->
+      match Obs.Jsonl.parse line with
+      | Some Obs.Jsonl.(("t", Int t) :: ("comp", Str "tcp") :: ("ev", Str e) :: fields)
+        when e = ev ->
+        Some (Simtime.of_ns t, fields)
+      | _ -> None)
+    (String.split_on_char '\n' trace)
+
+let traced_sends ~mss trace =
+  List.filter_map
+    (function
+      | time, Obs.Jsonl.[ _; ("seq", Int seq); _; ("retx", Bool retx); _ ] ->
+        Some (time, seq / mss, retx)
+      | _ -> None)
+    (traced "send" trace)
+
+let traced_timeouts trace = List.map fst (traced "timeout" trace)
+
 let now_ns t = Simtime.to_ns (Simulator.now t.sim)
 let no_timing = -1
 
 let set_on_complete t f = t.on_complete <- Some f
-let set_on_send t f = t.on_send <- Some f
-let set_on_timeout t f = t.on_timeout_hook <- Some f
 let stats t = t.stats
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
@@ -152,7 +171,6 @@ and emit_segment t ~seq ~len =
       ~t_ns:(now_ns t) seq len
       (int_of_float t.cc_state.Cc.cwnd)
   | None -> ());
-  (match t.on_send with Some f -> f pkt | None -> ());
   t.transmit pkt
 
 and send_window t =
@@ -177,7 +195,6 @@ and on_timeout t =
     Obs.Trace.emit2 e.timeout ~t_ns:(now_ns t) t.snd_una
       (Rto.current_ticks t.rto_state)
   | None -> ());
-  (match t.on_timeout_hook with Some f -> f () | None -> ());
   (* Timeout value doubles on consecutive losses (paper §1); the
      estimate is only refreshed by an ack of a non-retransmitted
      packet, which Karn's rule already guarantees. *)
@@ -299,8 +316,6 @@ let create sim ~config ~conn ~src ~dst ~total_bytes ~alloc_id ~transmit =
       timer_ticks = 0;
       is_complete = false;
       on_complete = None;
-      on_send = None;
-      on_timeout_hook = None;
       trace = None;
       rtt_hist = Obs.Registry.histogram Obs.Registry.disabled "tcp.rtt_ticks";
       cwnd_hist = Obs.Registry.histogram Obs.Registry.disabled "tcp.cwnd_bytes";

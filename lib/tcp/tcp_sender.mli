@@ -84,13 +84,6 @@ val completed : t -> bool
 val set_on_complete : t -> (unit -> unit) -> unit
 (** Callback invoked once, when the transfer completes. *)
 
-val set_on_send : t -> (Netsim.Packet.t -> unit) -> unit
-(** Observation hook invoked for every data packet emitted (the
-    packet-trace feed for Figures 3–5). *)
-
-val set_on_timeout : t -> (unit -> unit) -> unit
-(** Observation hook invoked on every retransmission-timer expiry. *)
-
 val stats : t -> Tcp_stats.t
 (** Live counters. *)
 
@@ -144,6 +137,16 @@ val set_obs : t -> trace:Obs.Trace.t -> metrics:Obs.Registry.t -> unit
     feeds the [tcp.rtt_ticks] and [tcp.cwnd_bytes] histograms.  With
     the defaults ({!Obs.Trace.disabled}, {!Obs.Registry.disabled})
     every instrumentation site is a single dead branch. *)
+
+val traced_sends :
+  mss:int -> string -> (Sim_engine.Simtime.t * int * bool) list
+(** [(time, seq / mss, retransmit)] for every [tcp] [send] line of a
+    JSONL trace, oldest first: the marks of the time-sequence plots
+    of Figures 3–5. *)
+
+val traced_timeouts : string -> Sim_engine.Simtime.t list
+(** The time of every [tcp] [timeout] line of a JSONL trace, oldest
+    first. *)
 
 val check_invariants : t -> unit
 (** Verify internal consistency: sequence-number ordering

@@ -7,7 +7,6 @@ type outcome = {
   scenario : Scenario.t;
   completed : bool;
   result : Bulk_app.result option;
-  trace : Metrics.Trace.t option;
   sender_stats : Tcp_stats.t;
   sink_stats : Tcp_sink.stats;
   arq_stats : Arq.stats option;
@@ -56,11 +55,6 @@ let run ?obs ?faults (scenario : Scenario.t) =
   let frame_ids = Ids.create () in
   let obs_cfg =
     match obs with Some cfg -> cfg | None -> Obs.Config.default ()
-  in
-  (* The source-side trace of figures 3-5 is kept only when the run
-     traces: recording it costs a list cell per send. *)
-  let trace =
-    if obs_cfg.Obs.Config.trace then Some (Metrics.Trace.create ()) else None
   in
   let obs_trace =
     if obs_cfg.Obs.Config.trace then Obs.Trace.create () else Obs.Trace.disabled
@@ -397,8 +391,6 @@ let run ?obs ?faults (scenario : Scenario.t) =
     match scenario.scheme with
     | Ebsn ->
       if Feedback.Ebsn.admit ebsn_gate ~conn ~now then begin
-        if Slog.debug_enabled () then
-          Slog.debug sim "bs sends ebsn (attempt failed for %a)" Packet.pp pkt;
         incr ebsn_sent;
         send_notification Feedback.Ebsn.make ~dst:pkt.Packet.src ~conn;
         Feedback.Ebsn.record ebsn_gate ~conn ~now
@@ -421,21 +413,12 @@ let run ?obs ?faults (scenario : Scenario.t) =
         | Frame.Whole _ | Frame.Fragment _ | Frame.Link_ack _ -> ()));
 
   (* Local protocol handlers. *)
-  let record event =
-    match trace with
-    | Some trace -> Metrics.Trace.record trace (Simulator.now sim) event
-    | None -> ()
-  in
   Node.set_local_handler fh (fun pkt ->
       match pkt.Packet.kind with
       | Packet.Tcp_ack { ack; sack; _ } ->
         Tcp_sender.handle_ack_sack sender ~ack ~sack
-      | Packet.Ebsn _ ->
-        record Metrics.Trace.Ebsn_received;
-        Tcp_sender.handle_ebsn sender
-      | Packet.Source_quench _ ->
-        record Metrics.Trace.Quench_received;
-        Tcp_sender.handle_quench sender
+      | Packet.Ebsn _ -> Tcp_sender.handle_ebsn sender
+      | Packet.Source_quench _ -> Tcp_sender.handle_quench sender
       | Packet.Tcp_data _ -> ());
   Node.set_local_handler mh (fun pkt ->
       match pkt.Packet.kind with
@@ -447,29 +430,6 @@ let run ?obs ?faults (scenario : Scenario.t) =
       | Packet.Tcp_ack { ack; sack; _ }, Some relay ->
         Agents.Split_conn.handle_wireless_ack relay ~ack ~sack
       | _, _ -> ());
-
-  (* Tracing hooks.  The send hook is installed only when something
-     reads it, so an untraced run makes no call per send. *)
-  if Option.is_some trace || Slog.debug_enabled () then
-    Tcp_sender.set_on_send sender (fun pkt ->
-        if Slog.debug_enabled () then
-          Slog.debug sim "src sends %a (cwnd=%dB una=%d)" Packet.pp pkt
-            (Tcp_sender.cwnd_bytes sender)
-            (Tcp_sender.snd_una sender);
-        match pkt.Packet.kind with
-        | Packet.Tcp_data { seq; is_retransmit; _ } ->
-          record
-            (Metrics.Trace.Send
-               {
-                 packet_number = seq / scenario.tcp.Tcp_config.mss;
-                 seq;
-                 retransmit = is_retransmit;
-               })
-        | Packet.Tcp_ack _ | Packet.Ebsn _ | Packet.Source_quench _ -> ());
-  Tcp_sender.set_on_timeout sender (fun () ->
-      Slog.info sim "source retransmission timeout (una=%d)"
-        (Tcp_sender.snd_una sender);
-      record Metrics.Trace.Timeout);
 
   (* Background wired-network load (the §6 congestion study). *)
   let start_cross pattern ~src ~dst ~conn ~link =
@@ -614,7 +574,6 @@ let run ?obs ?faults (scenario : Scenario.t) =
     scenario;
     completed;
     result;
-    trace;
     sender_stats = Tcp_sender.stats sender;
     sink_stats = Tcp_sink.stats sink;
     arq_stats = Option.map Arq.stats downlink_arq;

@@ -10,10 +10,6 @@ type outcome = {
   scenario : Scenario.t;
   completed : bool;  (** [false] if the safety horizon was hit *)
   result : Tcp_tahoe.Bulk_app.result option;  (** present iff completed *)
-  trace : Metrics.Trace.t option;
-      (** source-side sends, timeouts, EBSN and quench arrivals (the
-          events of figures 3-5), iff the run enabled tracing
-          ([Obs.Config.trace]) *)
   sender_stats : Tcp_tahoe.Tcp_stats.t;
   sink_stats : Tcp_tahoe.Tcp_sink.stats;
   arq_stats : Link_arq.Arq.stats option;  (** present iff the scheme runs ARQ *)
@@ -28,7 +24,11 @@ type outcome = {
       (** NS-style per-link event trace, iff the scenario asked for
           one *)
   obs_trace : string option;
-      (** structured JSONL event trace, iff the run enabled tracing *)
+      (** structured JSONL event trace, iff the run enabled tracing
+          ([Obs.Config.trace]); figures 3-5 read the source's sends
+          and timeouts back from it with
+          {!Tcp_tahoe.Tcp_sender.traced_sends} and
+          {!Tcp_tahoe.Tcp_sender.traced_timeouts} *)
   obs_metrics : string option;
       (** metrics registry rendered as JSONL, iff the run enabled
           metrics *)

@@ -168,6 +168,13 @@ let () =
             (fun period -> Printf.sprintf "run %s --seed %d" period seed)
             [ "--bad 6e-10"; "--good 6e-10"; "--bad 4.6e9"; "--good 4.6e9" ])
         [ 1; 2; 3; 4; 5 ]);
+  (* The text log of -v/--verbose is gone: --trace FILE records every
+     event it logged. *)
+  List.iter
+    (fun args ->
+      let code, _ = run_wtcp args in
+      check (Printf.sprintf "%s is an unknown flag (got %d)" args code) (code = 124))
+    [ "run -v"; "run --verbose" ];
   let code, _ = run_wtcp "handoff --blackout 0" in
   check (Printf.sprintf "handoff --blackout 0 exits 0 (got %d)" code) (code = 0);
   (* An output path that cannot be written is a user error: exit 1

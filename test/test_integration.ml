@@ -13,10 +13,11 @@ end
 
 let run = Wiring.run
 
-(* The source-side trace is recorded only when the run traces. *)
+(* The source's sends, read back from the run's JSONL trace. *)
 let traced_sends scenario =
   let obs = { (Obs.Config.default ()) with Obs.Config.trace = true } in
-  Trace.sends (Option.get (Wiring.run ~obs scenario).Wiring.trace)
+  Tcp_sender.traced_sends ~mss:scenario.Scenario.tcp.Tcp_config.mss
+    (Option.get (Wiring.run ~obs scenario).Wiring.obs_trace)
 
 (* ------------------------------------------------------------------ *)
 (* Conservation invariants                                             *)

@@ -1,4 +1,4 @@
-(* Tests for the metrics library: Summary, Trace, Timeseq. *)
+(* Tests for the metrics library: Summary, Timeseq, Nstrace. *)
 
 open Core
 
@@ -62,38 +62,6 @@ let prop_summary_stddev_nonneg =
   QCheck2.Test.make ~name:"stddev is non-negative" ~count:300
     QCheck2.Gen.(list_size (int_range 1 40) (float_range (-100.) 100.))
     (fun xs -> (Summary.of_list xs).Summary.stddev >= 0.0)
-
-(* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_records_in_order () =
-  let t = Trace.create () in
-  Trace.record t (Simtime.of_ns 10)
-    (Trace.Send { packet_number = 0; seq = 0; retransmit = false });
-  Trace.record t (Simtime.of_ns 20) Trace.Timeout;
-  Trace.record t (Simtime.of_ns 30)
-    (Trace.Send { packet_number = 1; seq = 536; retransmit = true });
-  Alcotest.(check int) "length" 3 (Trace.length t);
-  match Trace.events t with
-  | [ (t1, Trace.Send _); (t2, Trace.Timeout); (t3, Trace.Send _) ] ->
-    Alcotest.(check bool) "ordered" true Simtime.(t1 < t2 && t2 < t3)
-  | _ -> Alcotest.fail "unexpected event list"
-
-let test_trace_sends_filter () =
-  let t = Trace.create () in
-  Trace.record t (Simtime.of_ns 10)
-    (Trace.Send { packet_number = 5; seq = 5 * 536; retransmit = false });
-  Trace.record t (Simtime.of_ns 20) Trace.Ebsn_received;
-  Trace.record t (Simtime.of_ns 30)
-    (Trace.Send { packet_number = 6; seq = 6 * 536; retransmit = true });
-  let sends = Trace.sends t in
-  Alcotest.(check int) "two sends" 2 (List.length sends);
-  (match sends with
-  | [ (_, 5, false); (_, 6, true) ] -> ()
-  | _ -> Alcotest.fail "wrong sends");
-  Alcotest.(check int) "count predicate" 1
-    (Trace.count t (fun e -> e = Trace.Ebsn_received))
 
 (* ------------------------------------------------------------------ *)
 (* Timeseq                                                             *)
@@ -207,11 +175,6 @@ let () =
             test_summary_matches_reference_formulas;
           qc prop_summary_mean_within_range;
           qc prop_summary_stddev_nonneg;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "records in order" `Quick test_trace_records_in_order;
-          Alcotest.test_case "sends filter" `Quick test_trace_sends_filter;
         ] );
       ( "nstrace",
         [

@@ -4,9 +4,20 @@ open Core
 
 let run = Wiring.run
 
-(* A run that records the source-side trace, as figures 3-5 do. *)
+(* A run that records the JSONL trace, as figures 3-5 do. *)
 let traced = { (Obs.Config.default ()) with Obs.Config.trace = true }
-let trace_of outcome = Option.get outcome.Wiring.trace
+let trace_of outcome = Option.get outcome.Wiring.obs_trace
+
+(* Lines of a JSONL trace with the given component and event tag. *)
+let count_lines ~comp ~ev trace =
+  List.length
+    (List.filter
+       (fun line ->
+         match Obs.Jsonl.parse line with
+         | Some Obs.Jsonl.(_ :: ("comp", Str c) :: ("ev", Str e) :: _) ->
+           c = comp && e = ev
+         | _ -> false)
+       (String.split_on_char '\n' trace))
 
 (* ------------------------------------------------------------------ *)
 (* Scenario presets                                                    *)
@@ -84,9 +95,8 @@ let test_deterministic_same_seed_same_outcome () =
   Alcotest.(check int) "same timeouts" (Wiring.source_timeouts a)
     (Wiring.source_timeouts b);
   Alcotest.(check int) "same ebsn count" a.Wiring.ebsn_sent b.Wiring.ebsn_sent;
-  Alcotest.(check int) "same trace length"
-    (Trace.length (trace_of a))
-    (Trace.length (trace_of b))
+  Alcotest.(check bool) "same trace bytes" true
+    (String.equal (trace_of a) (trace_of b))
 
 let test_different_seed_different_outcome () =
   let a = run (Scenario.wan ~seed:1 ()) in
@@ -159,8 +169,8 @@ let test_ebsn_messages_flow () =
   in
   Alcotest.(check bool) "source received most of them" true
     (received > outcome.Wiring.ebsn_sent / 2);
-  Alcotest.(check bool) "trace recorded them" true
-    (Trace.count (trace_of outcome) (fun e -> e = Trace.Ebsn_received) > 0)
+  Alcotest.(check int) "trace recorded their re-arms" 173
+    (count_lines ~comp:"tcp" ~ev:"ebsn_rearm" (trace_of outcome))
 
 let test_no_ebsn_outside_ebsn_scheme () =
   List.iter
@@ -245,23 +255,36 @@ let test_lan_completes_quickly () =
   Alcotest.(check bool) "throughput above 1 Mbps" true
     (Wiring.throughput_bps outcome > 1_000_000.0)
 
-(* The source-side trace exists iff the run traces, and a traced run
-   records exactly the events it recorded when every run kept it: the
-   count and MD5 of each rendering were taken at the commit before the
-   trace became optional. *)
-let render_trace trace =
-  String.concat ""
-    (List.map
-       (fun (time, event) ->
-         Printf.sprintf "%d %s\n" (Simtime.to_ns time)
-           (match event with
-           | Trace.Send { packet_number; seq; retransmit } ->
-             Printf.sprintf "send %d %d %b" packet_number seq retransmit
-           | Trace.Timeout -> "timeout"
-           | Trace.Ebsn_received -> "ebsn"
-           | Trace.Quench_received -> "quench"
-           | Trace.Custom s -> s))
-       (Trace.events trace))
+(* The source's sends and timeouts, read back from a run's JSONL trace
+   in trace order and rendered one event a line.  The count and MD5 of
+   each rendering were taken from the source-side event list that the
+   trace readers replaced, leaving out its EBSN and quench arrivals. *)
+let render_source ~mss trace =
+  let sends = ref [] and timeouts = ref [] in
+  let lines =
+    List.filter_map
+      (fun line ->
+        match Obs.Jsonl.parse line with
+        | Some Obs.Jsonl.(("t", Int t) :: ("comp", Str "tcp") :: ("ev", Str ev) :: fields)
+          -> (
+          let time = Simtime.of_ns t in
+          match (ev, fields) with
+          | "send", Obs.Jsonl.[ _; ("seq", Int seq); _; ("retx", Bool retx); _ ] ->
+            sends := (time, seq / mss, retx) :: !sends;
+            Some (Printf.sprintf "%d send %d %d %b\n" t (seq / mss) seq retx)
+          | "timeout", _ ->
+            timeouts := time :: !timeouts;
+            Some (Printf.sprintf "%d timeout\n" t)
+          | _ -> None)
+        | _ -> None)
+      (String.split_on_char '\n' trace)
+  in
+  (* The readers return exactly these sends and timeouts. *)
+  Alcotest.(check bool) "traced_sends" true
+    (Tcp_sender.traced_sends ~mss trace = List.rev !sends);
+  Alcotest.(check bool) "traced_timeouts" true
+    (Tcp_sender.traced_timeouts trace = List.rev !timeouts);
+  (List.length lines, String.concat "" lines)
 
 let test_source_trace_only_when_tracing () =
   List.iter
@@ -269,27 +292,30 @@ let test_source_trace_only_when_tracing () =
       let s = Scenario.wan ~scheme ~seed () in
       let name = Printf.sprintf "%s seed %d" (Scenario.scheme_name scheme) seed in
       Alcotest.(check bool) (name ^ ": no trace when off") true
-        (Option.is_none (run ~obs:Obs.Config.off s).Wiring.trace);
-      match (run ~obs:{ Obs.Config.off with trace = true } s).Wiring.trace with
+        (Option.is_none (run ~obs:Obs.Config.off s).Wiring.obs_trace);
+      match (run ~obs:{ Obs.Config.off with trace = true } s).Wiring.obs_trace with
       | None -> Alcotest.fail (name ^ ": no trace when tracing")
       | Some trace ->
-        Alcotest.(check int) (name ^ ": events") events (Trace.length trace);
+        let count, rendered =
+          render_source ~mss:s.Scenario.tcp.Tcp_config.mss trace
+        in
+        Alcotest.(check int) (name ^ ": events") events count;
         Alcotest.(check string) (name ^ ": MD5") md5
-          (Digest.to_hex (Digest.string (render_trace trace))))
+          (Digest.to_hex (Digest.string rendered)))
     [
-      (Scenario.Ebsn, 1, 597, "c3ba5a8c251d6a3ca8330d252e5f1fed");
-      (Scenario.Quench, 5, 431, "d7e10f6a30eb20810b192488b73ab7f9");
+      (Scenario.Ebsn, 1, 324, "a6699505f06722af55a8615703aa58eb");
+      (Scenario.Quench, 5, 343, "b5c509de74b58525d7b9817f84b9fc91");
       (Scenario.Basic, 6, 347, "85585bbdccd2912f95e122e09f551a52");
     ]
 
 (* Minor-heap words per executed event for one run under [obs], after
    a warm-up run of the same scenario.  Exact counts depend on the
    compiler, so whole runs get a ceiling, about 10% above what the
-   packet path reaches with OCaml 5.1 in the dev profile (4.99 WAN,
-   5.00 LAN with obs off; 6.05 WAN with checking, trace and metrics),
+   packet path reaches with OCaml 5.1 in the dev profile (4.98 WAN,
+   5.00 LAN with obs off; 5.39 WAN with checking, trace and metrics),
    rather than an equality.  What is left is mostly the packets,
    frames, link acks, reassembly entries and EBSN packets themselves,
-   and with obs on the trace templates, the source-side trace and the
+   and with obs on the trace templates, the trace's buffer and the
    registry's instruments. *)
 let check_words_per_event ~obs scenario ~ceiling =
   ignore (run ~obs scenario);
@@ -313,7 +339,7 @@ let test_lan_words_per_event () =
 let test_observed_wan_words_per_event () =
   check_words_per_event ~obs:Obs.Config.all
     (Scenario.wan ~scheme:Scenario.Ebsn ~seed:1 ())
-    ~ceiling:6.6
+    ~ceiling:5.9
 
 let () =
   Alcotest.run "topology"
